@@ -1,12 +1,14 @@
 // dfbench is the engine benchmark-regression harness: it times the dense
-// reference engine (seed ring links) against the active-router scheduler
-// engine (event-queue links) on the standard engine benchmark
-// configurations (BenchmarkEngineSequential / BenchmarkEngineParallel
-// operating points plus a saturation regression guard), verifies the two
-// produce bit-identical results, measures network-construction memory for
-// ring vs event links at h=4 and h=6, prices snapshot restore against cold
-// construction at h=3 and h=6, and writes the measurements to
-// BENCH_engine.json so successive PRs accumulate a performance trajectory.
+// sequential reference engine against the active-router scheduler engine
+// on the standard engine benchmark configurations
+// (BenchmarkEngineSequential / BenchmarkEngineParallel operating points
+// plus a saturation regression guard), verifies the two produce
+// bit-identical results, measures network-construction memory at h=4 and
+// h=6, prices snapshot restore against cold construction at h=3 and h=6,
+// and writes the measurements to BENCH_engine.json so successive PRs
+// accumulate a performance trajectory. Both engines run on the same
+// event-queue links, so the reference side of every ratio is the dense
+// stepping loop alone.
 //
 // Usage:
 //
@@ -21,8 +23,8 @@
 // CI runners: both engines run on the same machine in the same process,
 // and a genuine scheduler regression shows up as a lower ratio everywhere.
 // Construction bytes are near-deterministic (allocation sizes, not
-// timings), so they are gated per scenario: event-link builds may not
-// grow more than max-regress over the baseline, locking in the memory win.
+// timings), so they are gated per scenario: builds may not grow more than
+// max-regress over the baseline, locking in the event-link memory win.
 package main
 
 import (
@@ -61,13 +63,11 @@ type scenario struct {
 }
 
 // construction is one network-construction memory point: bytes allocated
-// building the same network with ring links vs event-queue links.
+// building the network.
 type construction struct {
-	Name       string  `json:"name"`
-	H          int     `json:"balanced_h"`
-	RingBytes  int64   `json:"ring_build_bytes"`
-	EventBytes int64   `json:"event_build_bytes"`
-	Ratio      float64 `json:"ring_to_event_ratio"`
+	Name       string `json:"name"`
+	H          int    `json:"balanced_h"`
+	EventBytes int64  `json:"event_build_bytes"`
 }
 
 // snapshotPoint prices warm-state reuse: cold NewNetwork construction vs
@@ -175,28 +175,13 @@ func buildBytes(cfg sim.Config) (int64, error) {
 	return int64(m1.TotalAlloc - m0.TotalAlloc), nil
 }
 
-// measureConstruction prices network construction with ring vs event
-// links. The event build must be strictly smaller — that is the memory
-// win of the event-driven link layer, asserted here so a regression fails
-// the harness even without a baseline file.
+// measureConstruction prices network construction; the bytes are gated
+// against the baseline (see compareBaseline).
 func measureConstruction(name string, h int) (construction, error) {
 	c := construction{Name: name, H: h}
-	cfg := engineCfg(h, 0.1, 1, 100)
-	ring := cfg
-	ring.RingLinks = true
 	var err error
-	if c.RingBytes, err = buildBytes(ring); err != nil {
-		return c, err
-	}
-	if c.EventBytes, err = buildBytes(cfg); err != nil {
-		return c, err
-	}
-	c.Ratio = float64(c.RingBytes) / float64(c.EventBytes)
-	if c.EventBytes >= c.RingBytes {
-		return c, fmt.Errorf("%s: event-link build (%d B) not smaller than ring build (%d B)",
-			name, c.EventBytes, c.RingBytes)
-	}
-	return c, nil
+	c.EventBytes, err = buildBytes(engineCfg(h, 0.1, 1, 100))
+	return c, err
 }
 
 // measureSnapshot prices cold construction against snapshot restore on
@@ -406,13 +391,9 @@ func main() {
 		cfg := engineCfg(p.H, p.Load, p.Workers, p.Cycles)
 		p.Mech, p.Pattern = cfg.Mechanism, cfg.Pattern
 
-		// The reference runs the seed configuration end to end: dense
-		// engine on ring links. The scheduler runs on event links, so the
-		// bit-identity check below also proves the two link layers
-		// equivalent.
-		refCfg := cfg
-		refCfg.RingLinks = true
-		refWall, refSteps, refRes, err := measure(refCfg, *reps, sim.RunNetworkReference)
+		// The reference is the dense sequential engine (it ignores
+		// Workers), on the same network configuration as the scheduler.
+		refWall, refSteps, refRes, err := measure(cfg, *reps, sim.RunNetworkReference)
 		if err != nil {
 			fatal(err)
 		}
@@ -444,8 +425,7 @@ func main() {
 			fatal(err)
 		}
 		result.Construction = append(result.Construction, point)
-		fmt.Printf("%-30s ring %8.2fMB  event %8.2fMB  ratio %.2fx\n",
-			point.Name, float64(point.RingBytes)/1e6, float64(point.EventBytes)/1e6, point.Ratio)
+		fmt.Printf("%-30s build %8.2fMB\n", point.Name, float64(point.EventBytes)/1e6)
 	}
 
 	for _, s := range []struct {
@@ -508,8 +488,8 @@ func main() {
 // their correctness is covered by the bit-identity check regardless.
 // Scenarios missing from the baseline (newly added points) are skipped.
 // Construction memory is gated per scenario, not as a mean: allocation
-// sizes are near-deterministic, so any event-link build exceeding its
-// baseline by more than maxRegress is a real memory regression.
+// sizes are near-deterministic, so any build exceeding its baseline by
+// more than maxRegress is a real memory regression.
 func compareBaseline(path string, fresh output, maxRegress float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -552,8 +532,8 @@ func compareBaseline(path string, fresh output, maxRegress float64) error {
 		return fmt.Errorf("sequential speedup geomean %.2f regressed >%.0f%% vs %s", geomean, maxRegress*100, path)
 	}
 
-	// Memory gate: the event-link construction footprint may not creep
-	// back up. Baselines predating the construction section gate nothing.
+	// Memory gate: the construction footprint may not creep back up.
+	// Baselines predating the construction section gate nothing.
 	baseCons := make(map[string]construction, len(base.Construction))
 	for _, c := range base.Construction {
 		baseCons[c.Name] = c
@@ -565,10 +545,10 @@ func compareBaseline(path string, fresh output, maxRegress float64) error {
 			continue
 		}
 		ratio := float64(c.EventBytes) / float64(b.EventBytes)
-		fmt.Printf("baseline: %-30s event build %.2fMB vs %.2fMB (ratio %.2f)\n",
+		fmt.Printf("baseline: %-30s build %.2fMB vs %.2fMB (ratio %.2f)\n",
 			c.Name, float64(c.EventBytes)/1e6, float64(b.EventBytes)/1e6, ratio)
 		if ratio > 1+maxRegress {
-			return fmt.Errorf("%s: event-link build bytes grew >%.0f%% vs %s (%d vs %d B)",
+			return fmt.Errorf("%s: build bytes grew >%.0f%% vs %s (%d vs %d B)",
 				c.Name, maxRegress*100, path, c.EventBytes, b.EventBytes)
 		}
 	}

@@ -20,18 +20,16 @@ type CloneSpec struct {
 	// NodeJob is the clone network's live node→job map (nil without job
 	// attribution); shared read-only by all cloned routers.
 	NodeJob []int32
-	// Links maps every source link to its clone (see CloneLinks), used to
-	// rewire the cloned ports. Ignored when PortLinks is set.
-	Links map[Link]Link
-	// PortLinks, with Cloned, rewires ports by index instead of by map
-	// lookup: PortLinks[k] is the Cloned index of the k-th port's link in
+	// PortLinks, with Cloned, rewires the cloned ports by index:
+	// PortLinks[k] is the Cloned index of the k-th port's link in
 	// router-major, inputs-before-outputs order (-1 for the linkless
 	// injection/ejection ports), as produced by PortLinkIndex. Repeated
 	// clones of one frozen source (snapshot restores) compute the table
-	// once and skip the per-port interface-keyed map lookups entirely.
+	// once.
 	PortLinks []int32
-	// Cloned is the cloned link set, in the source network's link order.
-	Cloned []Link
+	// Cloned is the cloned link set, in the source network's link order
+	// (see CloneLinkSlice).
+	Cloned []*EventLink
 	// Rebase is subtracted from every absolute cycle held in router state
 	// (busy times, calendars, packet clocks), so state captured at cycle
 	// Rebase of the source run is valid at cycle 0 of the clone's.
@@ -44,7 +42,7 @@ type CloneSpec struct {
 // allocated in bulk across the whole set: cloning a wired network costs a
 // few large allocations plus copies, instead of re-running the hundreds of
 // thousands of small allocations network construction performs. Engine
-// hooks (event sink, trace, deliver hook) are reset; scratch buffers
+// hooks (trace, deliver hook) are reset; scratch buffers
 // reallocate lazily on first use.
 //
 // Must be called between cycles (no engine stepping the sources), with the
@@ -109,15 +107,11 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 		intSlab = intSlab[n:]
 		return s
 	}
-	// linkOf resolves a source port's link to its clone, by precomputed
-	// index when the caller provided one, by map otherwise. pk walks the
+	// linkOf resolves the next port's link to its clone. pk walks the
 	// PortLinks table in the same router-major, inputs-before-outputs
 	// order PortLinkIndex emits.
 	pk := 0
-	linkOf := func(l Link) Link {
-		if spec.PortLinks == nil {
-			return spec.Links[l] // nil (injection/ejection) maps to nil
-		}
+	linkOf := func() *EventLink {
 		idx := spec.PortLinks[pk]
 		pk++
 		if idx < 0 {
@@ -154,7 +148,6 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 		}
 		d.deliverHook = nil
 		d.trace = nil
-		d.notify = nil
 		d.nev = 0
 		d.stats.LastActivity -= spec.Rebase
 		d.nodeJob = spec.NodeJob
@@ -167,8 +160,6 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 				d.jobLive = append([]int64(nil), s.jobLive...)
 			}
 		}
-		d.arrDue = s.arrDue.cloneInto(keep.arrDue.q, spec.Rebase)
-		d.crdDue = s.crdDue.cloneInto(keep.crdDue.q, spec.Rebase)
 		d.relDue = s.relDue.cloneInto(keep.relDue.q, spec.Rebase)
 		d.xferDue = s.xferDue.cloneInto(keep.xferDue.q, spec.Rebase)
 
@@ -219,7 +210,7 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 			*din = *sin
 			din.busyUntil -= spec.Rebase
 			din.pending.done -= spec.Rebase
-			din.link = linkOf(sin.link)
+			din.link = linkOf()
 			if reuse {
 				din.vcs = keepVCs
 			} else {
@@ -259,7 +250,7 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 			do.linkBusyUntil -= spec.Rebase
 			do.crossbarBusyUntil -= spec.Rebase
 			do.releaseAt -= spec.Rebase
-			do.link = linkOf(so.link)
+			do.link = linkOf()
 			nvc := len(so.queues)
 			if reuse {
 				do.queues, do.qheads, do.occVC = keepQ, keepQh, keepOcc
@@ -317,14 +308,13 @@ func cloneRouters(src, dst []*Router, spec CloneSpec) []*Router {
 // consumes: for every port of every router, in router-major,
 // inputs-before-outputs order, the index of its link in links (-1 for the
 // linkless injection/ejection ports). Computed once per frozen source, it
-// replaces two interface-keyed map lookups per port on every subsequent
-// clone.
-func PortLinkIndex(routers []*Router, links []Link) []int32 {
-	idx := make(map[Link]int32, len(links))
+// is valid for every clone of it (clones keep the link order).
+func PortLinkIndex(routers []*Router, links []*EventLink) []int32 {
+	idx := make(map[*EventLink]int32, len(links))
 	for i, l := range links {
 		idx[l] = int32(i)
 	}
-	at := func(l Link) int32 {
+	at := func(l *EventLink) int32 {
 		if l == nil {
 			return -1
 		}

@@ -10,7 +10,7 @@
 // []*Router at run start (importing any state already buffered there),
 // step it instead of the routers, and write the hot state back when the
 // run ends — so everything outside the run (construction, debug
-// snapshots, the dense reference engines, manual steppers) keeps seeing
+// snapshots, the dense reference engine, manual steppers) keeps seeing
 // the classic per-router representation. Measurement accumulators are
 // not copied at all: the Core aliases each router's stats.Router,
 // per-job slices and RNG stream, so result collection, the deadlock
@@ -83,13 +83,12 @@ type outPort struct {
 	rrVC     int32 // link VC arbitration pointer
 }
 
-// portWire is one port's read-only wiring: the link (plus its
-// devirtualized EventLink form), cached latency and far-side address.
+// portWire is one port's read-only wiring: the link, its cached latency
+// and the far-side address.
 type portWire struct {
-	link     Link       // nil for injection (input) / ejection (output) ports
-	el       *EventLink // devirtualized link (nil when not an EventLink)
-	lat      int32      // cached Link.Latency (0 without a link)
-	peer     int32      // far-side router id (-1 unknown)
+	link     *EventLink // nil for injection (input) / ejection (output) ports
+	lat      int32      // cached EventLink.Latency (0 without a link)
+	peer     int32      // far-side router id (-1 without a link)
 	peerPort int32
 }
 
@@ -116,9 +115,11 @@ type evRing struct{ off, qcap, head, qlen int32 }
 // allocate — the zero-allocation gate in internal/sim relies on this.
 //
 // Concurrency contract (mirrors Router): StepRouter touches only state
-// of the stepped router's index range, links excepted, so disjoint
-// routers may be stepped concurrently; everything else (PushDue,
-// SetSink, WriteBack, phase flips) must happen between cycles.
+// of the stepped router's index range, so disjoint routers may be stepped
+// concurrently; everything else (PushDue, SetSink, WriteBack, phase
+// flips) must happen between cycles. Every router must have an event sink
+// installed (SetSink/SetAllSinks) before it is stepped: link events leave
+// the core only through it.
 type Core struct {
 	routers []*Router
 	topo    *topology.Topology
@@ -178,13 +179,12 @@ type Core struct {
 	outQ     []outQState
 
 	// In-core link transport: per-port event rings fed by PushDue. Payloads
-	// of events between two core-stepped routers ride the LinkEvent into
-	// these rings (see LinkEvent); the EventLinks stay empty while the core
-	// runs and are refilled by WriteBack. Packet-arrival rings are per input
-	// port, credit rings per output port, both indexed by pi; the pend masks
-	// (bit p set iff the port's ring is non-empty) drive the pop scans and
-	// EarliestExternal. Only ports wired to an EventLink get a ring;
-	// everything else keeps classic Link transport and the sorted due-queues.
+	// ride the LinkEvent into these rings (see LinkEvent); the EventLinks
+	// stay empty while the core runs and are refilled by WriteBack.
+	// Packet-arrival rings are per input port, credit rings per output
+	// port, both indexed by pi; the pend masks (bit p set iff the port's
+	// ring is non-empty) drive the pop scans and EarliestExternal. Only
+	// linked ports get a ring.
 	arrData     []pktEvent
 	arrQ        []evRing
 	crdData     []crdEvent
@@ -206,8 +206,6 @@ type Core struct {
 	hook     []func(*packet.Packet) // deliver hooks
 	trace    []TraceFn
 	notify   []func(LinkEvent)
-	arrDue   []dueQueue
-	crdDue   []dueQueue
 	relDue   []dueQueue
 	xferDue  []dueQueue
 	views    []coreView
@@ -237,8 +235,10 @@ type coreView struct {
 
 // NewCore flattens the wired routers into a fresh Core, importing any
 // state already buffered in them (normally empty right after wiring;
-// tests may pre-inject packets or rewire ports, and a previous run's
-// write-back is re-imported the same way).
+// tests may pre-inject packets, and a previous run's write-back is
+// re-imported the same way). Every linked port must know its far side
+// (see Router.ConnectOutTo): NewCore panics on a peerless link, because
+// the in-core transport addresses every event to the peer.
 func NewCore(routers []*Router) *Core {
 	r0 := routers[0]
 	topo, cfg := r0.topo, r0.cfg
@@ -347,8 +347,6 @@ func (c *Core) allocArrays(routers []*Router) {
 	c.hook = make([]func(*packet.Packet), nr)
 	c.trace = make([]TraceFn, nr)
 	c.notify = make([]func(LinkEvent), nr)
-	c.arrDue = make([]dueQueue, nr)
-	c.crdDue = make([]dueQueue, nr)
 	c.relDue = make([]dueQueue, nr)
 	c.xferDue = make([]dueQueue, nr)
 	c.views = make([]coreView, nr)
@@ -385,7 +383,7 @@ func (c *Core) allocArrays(routers []*Router) {
 		rt := routers[r]
 		for p := 0; p < np; p++ {
 			pi := r*np + p
-			if el, ok := rt.inputs[p].link.(*EventLink); ok {
+			if el := rt.inputs[p].link; el != nil {
 				cp := int32(int64(el.latency)/pktSpacing) + 4
 				if n := int32(el.pktTail.Load()-el.pktHead.Load()) + 4; n > cp {
 					cp = n
@@ -393,7 +391,7 @@ func (c *Core) allocArrays(routers []*Router) {
 				c.arrQ[pi] = evRing{off: arrTot, qcap: cp}
 				arrTot += cp
 			}
-			if el, ok := rt.outputs[p].link.(*EventLink); ok {
+			if el := rt.outputs[p].link; el != nil {
 				cp := int32(int64(el.latency)/crdSpacing) + 4
 				if n := int32(el.crdTail.Load()-el.crdHead.Load()) + 4; n > cp {
 					cp = n
@@ -434,13 +432,9 @@ func (c *Core) allocArrays(routers []*Router) {
 
 	// Due-queue buffers from one arena, capacity-capped sub-slices: a
 	// queue that outgrows its window reallocates privately via append.
-	arena := make([]portDue, nr*(16+16+np+np))
+	arena := make([]portDue, nr*2*np)
 	pos := 0
 	for r := 0; r < nr; r++ {
-		c.arrDue[r].q = arena[pos : pos : pos+16]
-		pos += 16
-		c.crdDue[r].q = arena[pos : pos : pos+16]
-		pos += 16
 		c.relDue[r].q = arena[pos : pos : pos+np]
 		pos += np
 		c.xferDue[r].q = arena[pos : pos : pos+np]
@@ -469,14 +463,16 @@ func (c *Core) importRouter(r int, rt *Router) {
 		c.inP[pi].rrVC = int32(in.rrVC)
 		c.inP[pi].qTotal = int32(in.qTotal)
 		c.inW[pi].link = in.link
-		if in.link != nil {
-			c.inW[pi].lat = int32(in.link.Latency())
-			c.inW[pi].el, _ = in.link.(*EventLink)
-		}
+		c.inW[pi].peer = int32(rt.peerIn[p])
+		c.inW[pi].peerPort = int32(rt.peerInPort[p])
 		// In-flight packets move from the EventLink into the core's arrival
-		// ring (their routed due entries are dropped below — the ring is the
-		// calendar); the link stays empty until WriteBack refills it.
-		if el := c.inW[pi].el; el != nil {
+		// ring (the ring is the calendar); the link stays empty until
+		// WriteBack refills it.
+		if el := in.link; el != nil {
+			if rt.peerIn[p] < 0 {
+				panic(fmt.Sprintf("router %d: input port %d has a link but no peer", r, p))
+			}
+			c.inW[pi].lat = int32(el.latency)
 			head, tail := el.pktHead.Load(), el.pktTail.Load()
 			q := &c.arrQ[pi]
 			for i := head; i < tail; i++ {
@@ -490,8 +486,6 @@ func (c *Core) importRouter(r int, rt *Router) {
 			}
 			el.pktHead.Store(tail)
 		}
-		c.inW[pi].peer = int32(rt.peerIn[p])
-		c.inW[pi].peerPort = int32(rt.peerInPort[p])
 		c.inP[pi].pend = pendRec{
 			active:  in.pending.active,
 			vc:      int32(in.pending.vcIdx),
@@ -524,17 +518,17 @@ func (c *Core) importRouter(r int, rt *Router) {
 		c.outP[pi].rr = int32(out.rr)
 		c.outP[pi].rrVC = int32(out.rrVC)
 		c.outW[pi].link = out.link
-		if out.link != nil {
-			c.outW[pi].lat = int32(out.link.Latency())
-			c.outW[pi].el, _ = out.link.(*EventLink)
-		}
 		c.outW[pi].peer = int32(rt.peerOut[p])
 		c.outW[pi].peerPort = int32(rt.peerOutPort[p])
 		if c.outP[pi].qTotal > 0 {
 			c.outOccMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
 		}
 		// Returning credits move from the EventLink into the credit ring.
-		if el := c.outW[pi].el; el != nil {
+		if el := out.link; el != nil {
+			if rt.peerOut[p] < 0 {
+				panic(fmt.Sprintf("router %d: output port %d has a link but no peer", r, p))
+			}
+			c.outW[pi].lat = int32(el.latency)
 			head, tail := el.crdHead.Load(), el.crdTail.Load()
 			q := &c.crdQ[pi]
 			for i := head; i < tail; i++ {
@@ -557,21 +551,6 @@ func (c *Core) importRouter(r int, rt *Router) {
 			}
 		}
 	}
-	// Classic-transport ports keep their routed due entries; entries for
-	// event-link ports are subsumed by the rings drained above (the ring
-	// heads are the calendar). Filtering a sorted queue keeps it sorted.
-	for i := rt.arrDue.head; i < len(rt.arrDue.q); i++ {
-		e := rt.arrDue.q[i]
-		if c.inW[base+int(e.port)].el == nil {
-			c.arrDue[r].q = append(c.arrDue[r].q, e)
-		}
-	}
-	for i := rt.crdDue.head; i < len(rt.crdDue.q); i++ {
-		e := rt.crdDue.q[i]
-		if c.outW[base+int(e.port)].el == nil {
-			c.crdDue[r].q = append(c.crdDue[r].q, e)
-		}
-	}
 }
 
 // importDue copies the logical content of a due-queue.
@@ -589,35 +568,29 @@ func (c *Core) WriteBack() {
 	np, maxVC := c.np, c.maxVC
 	for r, rt := range c.routers {
 		base := r * np
-		// Classic-transport due entries first; ring events re-insert their
-		// routed entries (and refill the EventLinks) in the port loop below.
-		exportDue(&rt.arrDue, &c.arrDue[r])
-		exportDue(&rt.crdDue, &c.crdDue[r])
 		exportDue(&rt.relDue, &c.relDue[r])
 		exportDue(&rt.xferDue, &c.xferDue[r])
 		rt.measuring = c.measuring
 		rt.batch = c.batch
 		for p := 0; p < np; p++ {
 			pi := base + p
-			if el := c.inW[pi].el; el != nil {
+			if el := c.inW[pi].link; el != nil {
 				q := &c.arrQ[pi]
 				h := q.head
 				for k := int32(0); k < q.qlen; k++ {
 					ev := c.arrData[q.off+h]
 					el.PushPacket(ev.at, ev.p)
-					rt.arrDue.insert(ev.at, int32(p))
 					if h++; h == q.qcap {
 						h = 0
 					}
 				}
 			}
-			if el := c.outW[pi].el; el != nil {
+			if el := c.outW[pi].link; el != nil {
 				q := &c.crdQ[pi]
 				h := q.head
 				for k := int32(0); k < q.qlen; k++ {
 					ev := c.crdData[q.off+h]
 					el.PushCredit(ev.at, int(ev.vc), int(ev.phits))
-					rt.crdDue.insert(ev.at, int32(p))
 					if h++; h == q.qcap {
 						h = 0
 					}
@@ -688,8 +661,11 @@ func exportDue(dst, src *dueQueue) {
 	dst.head = 0
 }
 
-// SetSink installs the engine event sink of one router (see
-// Router.SetEventSink for the contract).
+// SetSink installs the engine event sink of one router: it receives a
+// LinkEvent for every future link arrival the router schedules (packets
+// sent to a neighbour, credits returned upstream), during StepRouter and
+// always with a strictly future cycle. The engine must route each event
+// to its destination with PushDue between cycles.
 func (c *Core) SetSink(r int, fn func(LinkEvent)) { c.notify[r] = fn }
 
 // SetAllSinks installs (or clears, with nil) every router's event sink.
@@ -713,13 +689,12 @@ func (c *Core) SetBatch(i int) {
 	c.batch = i
 }
 
-// PushDue routes a link event to router r: payload-carrying events (the
-// in-core transport, see LinkEvent) into the per-port rings, classic
-// notifications into the sorted due-queues (see Router.PushDue). Events
-// on one port arrive in increasing-cycle order (the sender serialises
-// them), so a plain FIFO ring keeps them sorted for free.
+// PushDue routes a link event to router r's per-port ring (see
+// LinkEvent). Events on one port arrive in increasing-cycle order (the
+// sender serialises them), so a plain FIFO ring keeps them sorted for
+// free.
 func (c *Core) PushDue(r int, ev LinkEvent) {
-	if ev.Pkt != nil {
+	if !ev.Credit {
 		q := &c.arrQ[r*c.np+ev.Port]
 		if q.qlen == q.qcap {
 			panic(fmt.Sprintf("router %d: arrival event ring full on port %d (spacing promise broken)", r, ev.Port))
@@ -731,7 +706,7 @@ func (c *Core) PushDue(r int, ev LinkEvent) {
 		c.arrData[q.off+i] = pktEvent{at: ev.At, p: ev.Pkt}
 		q.qlen++
 		c.arrPendMask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
-	} else if ev.Credit && ev.Phits > 0 {
+	} else {
 		q := &c.crdQ[r*c.np+ev.Port]
 		if q.qlen == q.qcap {
 			panic(fmt.Sprintf("router %d: credit event ring full on port %d (spacing promise broken)", r, ev.Port))
@@ -743,10 +718,6 @@ func (c *Core) PushDue(r int, ev LinkEvent) {
 		c.crdData[q.off+i] = crdEvent{at: ev.At, phits: ev.Phits, vc: ev.PVC}
 		q.qlen++
 		c.crdPendMask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
-	} else if ev.Credit {
-		c.crdDue[r].insert(ev.At, int32(ev.Port))
-	} else {
-		c.arrDue[r].insert(ev.At, int32(ev.Port))
 	}
 	if !c.extDirty[r] {
 		if m := c.extMin[r]; m < 0 || ev.At < m {
@@ -755,10 +726,14 @@ func (c *Core) PushDue(r int, ev LinkEvent) {
 	}
 }
 
-// EarliestExternal returns the earliest routed-but-pending link event of
-// router r, or -1 (see Router.EarliestExternal). The value is cached:
-// pushes fold into it directly, pops invalidate it, and a query after a
-// pop rescans the ring heads and due-queue heads.
+// EarliestExternal returns the earliest cycle at which a link event
+// already routed to router r falls due — a packet arriving on an input or
+// a credit returning to an output — or -1 if none is pending. The
+// scheduler consults it when putting the router to sleep, because
+// in-flight events are invisible to the router's own state (StepRouter's
+// return value covers internal events only). The value is cached: pushes
+// fold into it directly, pops invalidate it, and a query after a pop
+// rescans the ring heads.
 func (c *Core) EarliestExternal(r int) int64 {
 	if !c.extDirty[r] {
 		return c.extMin[r]
@@ -776,12 +751,6 @@ func (c *Core) EarliestExternal(r int) int64 {
 			q := &c.crdQ[base+pb+bits.TrailingZeros64(m)]
 			consider(&ev, c.crdData[q.off+q.head].at)
 		}
-	}
-	if d := &c.arrDue[r]; !d.empty() {
-		consider(&ev, d.q[d.head].at)
-	}
-	if d := &c.crdDue[r]; !d.empty() {
-		consider(&ev, d.q[d.head].at)
 	}
 	c.extMin[r] = ev
 	c.extDirty[r] = false

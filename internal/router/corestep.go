@@ -4,7 +4,7 @@
 // round-robin starts, the two-pass transit-priority submit loop,
 // arbitration tie-breaks — and every RNG consumption point match
 // Router.Step exactly, which is what keeps the scheduler engines
-// bit-identical to the dense reference engines stepping classic Routers
+// bit-identical to the dense reference engine stepping classic Routers
 // (the cross-engine equivalence tests enforce this).
 //
 // Two scans of Router.Step are replaced by provably equivalent
@@ -78,10 +78,9 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			c.outP[pi].relPhits = 0
 		}
 	}
-	// Credits: the core always runs event-driven (the scheduler engines
-	// install sinks before the first step), so only outputs with a credit
-	// arriving this cycle are touched. In-core transport first: the credit
-	// rings carry (cycle, vc, phits) directly, no link indirection.
+	// Credits: only outputs with a credit arriving this cycle are touched;
+	// the credit rings carry (cycle, vc, phits) directly, no link
+	// indirection.
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -113,43 +112,13 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			}
 		}
 	}
-	// Classic transport (ports without an event link): routed due entries
-	// paired with Link.PopCredit.
-	d = &c.crdDue[r]
-	for d.head < len(d.q) {
-		at := d.q[d.head].at
-		if at > now {
-			break
-		}
-		if at < now {
-			panic(fmt.Sprintf("router %d: credit event missed at cycle %d (now %d): scheduler failed to wake", r, at, now))
-		}
-		p := int(d.pop().port)
-		c.extDirty[r] = true
-		pi := base + p
-		var vc, phits int
-		if el := c.outW[pi].el; el != nil {
-			vc, phits = el.PopCredit(now)
-		} else {
-			vc, phits = c.outW[pi].link.PopCredit(now)
-		}
-		if phits > 0 {
-			s := &c.outQ[pi*c.maxVC+vc]
-			s.credits += int32(phits)
-			c.outP[pi].free += int32(phits)
-			if s.credits > c.downCapVC[p] {
-				panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, vc))
-			}
-		}
-	}
 }
 
 func (c *Core) popArrivals(r, base int, now int64) {
-	// In-core transport: due arrivals sit at the heads of the per-port
-	// rings. Ports are visited in ascending order rather than the
-	// due-queue's time order, which is equivalent: an arrival only touches
-	// its own port's state and consumes no randomness, so same-cycle
-	// arrivals at different ports commute.
+	// Due arrivals sit at the heads of the per-port rings. Ports are
+	// visited in ascending order rather than arrival time order, which is
+	// equivalent: an arrival only touches its own port's state and consumes
+	// no randomness, so same-cycle arrivals at different ports commute.
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -188,41 +157,6 @@ func (c *Core) popArrivals(r, base int, now int64) {
 			}
 		}
 	}
-	// Classic transport: routed due entries paired with Link.PopPacket.
-	d := &c.arrDue[r]
-	for d.head < len(d.q) {
-		at := d.q[d.head].at
-		if at > now {
-			break
-		}
-		if at < now {
-			panic(fmt.Sprintf("router %d: packet event missed at cycle %d (now %d): scheduler failed to wake", r, at, now))
-		}
-		p := int(d.pop().port)
-		c.extDirty[r] = true
-		pi := base + p
-		var pkt *packet.Packet
-		if el := c.inW[pi].el; el != nil {
-			pkt = el.PopPacket(now)
-		} else {
-			pkt = c.inW[pi].link.PopPacket(now)
-		}
-		if pkt == nil {
-			continue
-		}
-		routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
-		pkt.ReadyAt = now + c.pipeline
-		pkt.EnqueuedAt = now
-		vi := pi*c.maxVC + pkt.VC
-		s := &c.inQ[vi]
-		if s.occ+int32(pkt.Size) > c.inCapVC[p] {
-			panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
-		}
-		c.inQPush(vi, pkt)
-		s.occ += int32(pkt.Size)
-		c.inP[pi].qTotal++
-		c.inOccMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-	}
 }
 
 func (c *Core) completeTransfers(r, base int, now int64) {
@@ -240,26 +174,13 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		if c.inP[pi].qTotal--; c.inP[pi].qTotal == 0 {
 			c.inOccMask[r*c.maskWords+p>>6] &^= 1 << (uint(p) & 63)
 		}
-		// Return the credit for the buffer space just freed. Between two
-		// core-stepped routers the credit rides the wake event itself (see
-		// LinkEvent); otherwise it travels through the link classically.
-		if l := c.inW[pi].link; l != nil {
-			at := now + int64(c.inW[pi].lat)
-			if el := c.inW[pi].el; el != nil && c.notify[r] != nil && c.inW[pi].peer >= 0 {
-				c.notify[r](LinkEvent{
-					Router: int(c.inW[pi].peer), Port: int(c.inW[pi].peerPort), At: at,
-					Credit: true, Phits: int32(c.size), PVC: int32(vcIdx),
-				})
-			} else {
-				if el := c.inW[pi].el; el != nil {
-					el.PushCredit(at, vcIdx, c.size)
-				} else {
-					l.PushCredit(at, vcIdx, c.size)
-				}
-				if c.notify[r] != nil && c.inW[pi].peer >= 0 {
-					c.notify[r](LinkEvent{Router: int(c.inW[pi].peer), Port: int(c.inW[pi].peerPort), At: at, Credit: true})
-				}
-			}
+		// Return the credit for the buffer space just freed: it rides the
+		// wake event itself (see LinkEvent).
+		if wire := &c.inW[pi]; wire.link != nil {
+			c.notify[r](LinkEvent{
+				Router: int(wire.peer), Port: int(wire.peerPort), At: now + int64(wire.lat),
+				Credit: true, Phits: int32(c.size), PVC: int32(vcIdx),
+			})
 		}
 		if c.class[p] == topology.InjectionPort {
 			pkt.InjectTime = now
@@ -559,7 +480,8 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			// Link VC arbitration: round-robin over VCs whose head packet
 			// has a full packet of downstream credit.
 			nvc := int(c.nOutVC[p])
-			link := c.outW[pi].link
+			wire := &c.outW[pi]
+			link := wire.link
 			vbase := pi * maxVC
 			sendVC := -1
 			vc := int(c.outP[pi].rrVC)
@@ -612,22 +534,10 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				c.trace[r](now, TraceLinkSend, pkt, r, p, pkt.VC)
 			}
 			if link != nil {
-				lat := int64(c.outW[pi].lat)
-				at := now + c.serial + lat
+				// The packet rides the wake event (see LinkEvent).
+				lat := int64(wire.lat)
 				pkt.LinkLat += lat
-				if el := c.outW[pi].el; el != nil && c.notify[r] != nil && c.outW[pi].peer >= 0 {
-					// In-core transport: the packet rides the wake event.
-					c.notify[r](LinkEvent{Router: int(c.outW[pi].peer), Port: int(c.outW[pi].peerPort), At: at, Pkt: pkt})
-				} else {
-					if el := c.outW[pi].el; el != nil {
-						el.PushPacket(at, pkt)
-					} else {
-						link.PushPacket(at, pkt)
-					}
-					if c.notify[r] != nil && c.outW[pi].peer >= 0 {
-						c.notify[r](LinkEvent{Router: int(c.outW[pi].peer), Port: int(c.outW[pi].peerPort), At: at})
-					}
-				}
+				c.notify[r](LinkEvent{Router: int(wire.peer), Port: int(wire.peerPort), At: now + c.serial + lat, Pkt: pkt})
 			} else {
 				c.deliver(r, now+c.serial, pkt)
 			}

@@ -64,9 +64,10 @@ func (r *Router) Snapshot() Occupancy {
 // state-equivalence property test (internal/sim) compares. The scheduler
 // engines run on the flat Core and write back into this representation, so
 // equality here also proves the Core import/write-back round-trip lossless.
-// Link contents and the routed-event due-queues are deliberately excluded:
-// packets in flight on a link live in layer-specific structures (ring slots
-// vs event queues) and are compared after arrival instead.
+// Link contents are deliberately excluded: packets in flight on a link live
+// in engine-specific structures (the EventLink rings, or the Core's
+// per-port rings while a scheduler run is live) and are compared after
+// arrival instead.
 func (r *Router) StateVector(v []int64) []int64 {
 	b2i := func(b bool) int64 {
 		if b {

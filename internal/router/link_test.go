@@ -9,17 +9,14 @@ import (
 	"dragonfly/internal/packet"
 )
 
-// linkImpls enumerates the Link implementations under test. Every
-// behavioural test below runs against both: the contract is shared, and
-// the event links are proven drop-in replacements for the seed rings.
+// linkImpls names the link under test for the behavioural tests below.
 // Spacing 1 is the worst case for the event links (one event per cycle),
-// so the behavioural tests also exercise their largest rings.
+// so the tests also exercise their largest rings.
 var linkImpls = []struct {
 	name string
-	mk   func(latency int) Link
+	mk   func(latency int) *EventLink
 }{
-	{"ring", func(latency int) Link { return NewLink(latency, 8) }},
-	{"event", func(latency int) Link { return NewEventLink(latency, 1, 1) }},
+	{"event", func(latency int) *EventLink { return NewEventLink(latency, 1, 1) }},
 }
 
 func TestLinkPacketDelivery(t *testing.T) {
@@ -214,8 +211,7 @@ func TestEventLinkMissedArrivalPanics(t *testing.T) {
 
 // Property: any schedule of (time, payload) pushes with unique in-window
 // times — pushed in increasing time order, as a serializing sender
-// produces them — is delivered exactly at its time, by both
-// implementations.
+// produces them — is delivered exactly at its time.
 func TestLinkScheduleProperty(t *testing.T) {
 	for _, impl := range linkImpls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -262,83 +258,80 @@ func TestLinkScheduleProperty(t *testing.T) {
 	}
 }
 
-// Property: ring and event links driven by one randomized schedule —
-// random per-link latency, random loads respecting the sender spacing
-// rule, interleaved same-cycle push/pop like the engines produce — deliver
-// identical (cycle, packet) and (cycle, credit) sequences.
-func TestEventLinkMatchesRingLinkRandomized(t *testing.T) {
+// Property: an event link driven by a randomized schedule — random
+// latency, random loads respecting the sender spacing rule, interleaved
+// same-cycle push/pop like the engines produce — delivers exactly the
+// pushed (cycle, packet) and (cycle, credit) sequences, in push order.
+func TestEventLinkMatchesScheduleRandomized(t *testing.T) {
+	type delivery struct {
+		at int64
+		id uint64
+	}
+	type creditDel struct {
+		at        int64
+		vc, phits int
+	}
 	for trial := 0; trial < 50; trial++ {
 		rnd := rand.New(rand.NewSource(int64(1000 + trial)))
 		latency := 1 + rnd.Intn(150)
 		pktSpacing := 1 + rnd.Intn(8)
 		crdSpacing := 1 + rnd.Intn(8)
-		ring := NewLink(latency, pktSpacing)
-		event := NewEventLink(latency, pktSpacing, crdSpacing)
+		l := NewEventLink(latency, pktSpacing, crdSpacing)
 
-		type delivery struct {
-			at int64
-			id uint64
-		}
-		type creditDel struct {
-			at        int64
-			vc, phits int
-		}
-		var ringPkts, eventPkts []delivery
-		var ringCrds, eventCrds []creditDel
-
+		var wantPkts, gotPkts []delivery
+		var wantCrds, gotCrds []creditDel
 		nextPktSend := int64(0)
 		nextCrdSend := int64(0)
 		var id uint64
 		load := 0.1 + 0.8*rnd.Float64()
-		for now := int64(0); now < 2000; now++ {
+		const horizon = 2000
+		for now := int64(0); now < horizon; now++ {
 			// Receiver side first (the engines pop arrivals before the
 			// link stage pushes new ones).
-			if p := ring.PopPacket(now); p != nil {
-				ringPkts = append(ringPkts, delivery{now, p.ID})
+			if p := l.PopPacket(now); p != nil {
+				gotPkts = append(gotPkts, delivery{now, p.ID})
 			}
-			if p := event.PopPacket(now); p != nil {
-				eventPkts = append(eventPkts, delivery{now, p.ID})
-			}
-			if vc, phits := ring.PopCredit(now); phits > 0 {
-				ringCrds = append(ringCrds, creditDel{now, vc, phits})
-			}
-			if vc, phits := event.PopCredit(now); phits > 0 {
-				eventCrds = append(eventCrds, creditDel{now, vc, phits})
+			if vc, phits := l.PopCredit(now); phits > 0 {
+				gotCrds = append(gotCrds, creditDel{now, vc, phits})
 			}
 			// Sender side: serialised pushes at the modelled spacing.
 			if now >= nextPktSend && rnd.Float64() < load {
 				id++
 				at := now + int64(pktSpacing) + int64(latency)
-				ring.PushPacket(at, &packet.Packet{ID: id})
-				event.PushPacket(at, &packet.Packet{ID: id})
+				l.PushPacket(at, &packet.Packet{ID: id})
+				if at < horizon {
+					wantPkts = append(wantPkts, delivery{at, id})
+				}
 				nextPktSend = now + int64(pktSpacing)
 			}
 			if now >= nextCrdSend && rnd.Float64() < load {
 				vc, phits := rnd.Intn(3), 8
 				at := now + int64(latency)
-				ring.PushCredit(at, vc, phits)
-				event.PushCredit(at, vc, phits)
+				l.PushCredit(at, vc, phits)
+				if at < horizon {
+					wantCrds = append(wantCrds, creditDel{at, vc, phits})
+				}
 				nextCrdSend = now + int64(crdSpacing)
 			}
 		}
-		if len(ringPkts) != len(eventPkts) {
-			t.Fatalf("trial %d (lat %d): %d ring vs %d event packet deliveries",
-				trial, latency, len(ringPkts), len(eventPkts))
+		if len(gotPkts) != len(wantPkts) {
+			t.Fatalf("trial %d (lat %d): %d packet deliveries, %d scheduled",
+				trial, latency, len(gotPkts), len(wantPkts))
 		}
-		for i := range ringPkts {
-			if ringPkts[i] != eventPkts[i] {
-				t.Fatalf("trial %d (lat %d): delivery %d diverged: ring %+v event %+v",
-					trial, latency, i, ringPkts[i], eventPkts[i])
+		for i := range wantPkts {
+			if gotPkts[i] != wantPkts[i] {
+				t.Fatalf("trial %d (lat %d): delivery %d = %+v, scheduled %+v",
+					trial, latency, i, gotPkts[i], wantPkts[i])
 			}
 		}
-		if len(ringCrds) != len(eventCrds) {
-			t.Fatalf("trial %d (lat %d): %d ring vs %d event credit deliveries",
-				trial, latency, len(ringCrds), len(eventCrds))
+		if len(gotCrds) != len(wantCrds) {
+			t.Fatalf("trial %d (lat %d): %d credit deliveries, %d scheduled",
+				trial, latency, len(gotCrds), len(wantCrds))
 		}
-		for i := range ringCrds {
-			if ringCrds[i] != eventCrds[i] {
-				t.Fatalf("trial %d (lat %d): credit %d diverged: ring %+v event %+v",
-					trial, latency, i, ringCrds[i], eventCrds[i])
+		for i := range wantCrds {
+			if gotCrds[i] != wantCrds[i] {
+				t.Fatalf("trial %d (lat %d): credit %d = %+v, scheduled %+v",
+					trial, latency, i, gotCrds[i], wantCrds[i])
 			}
 		}
 	}

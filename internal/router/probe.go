@@ -4,7 +4,7 @@ import "dragonfly/internal/topology"
 
 // Read-only probe accessors for the telemetry layer, defined on BOTH hot
 // representations — the flat Core the scheduler engines step and the
-// classic per-Router structs the reference engines step — over the same
+// classic per-Router structs the reference engine steps — over the same
 // definitions, so a probe sample is identical whichever representation is
 // live (the state itself is identical at every cycle boundary; see the
 // cross-engine StateVector equivalence test). Probes mutate nothing and

@@ -22,8 +22,8 @@ func schedCfg() sim.Config {
 }
 
 // engineMatrix runs the trace on every engine × worker combination the
-// acceptance criteria name: scheduler and dense reference engines at
-// Workers 1, 2 and NumCPU.
+// acceptance criteria name: the scheduler engines at Workers 1, 2 and
+// NumCPU, and the dense reference engine (which ignores Workers).
 type engineCase struct {
 	name    string
 	workers int
@@ -35,9 +35,7 @@ func engineMatrix() []engineCase {
 		{"sched-w1", 1, sim.RunNetworkWithController},
 		{"sched-w2", 2, sim.RunNetworkWithController},
 		{"sched-wN", runtime.NumCPU(), sim.RunNetworkWithController},
-		{"ref-w1", 1, sim.RunNetworkReferenceWithController},
-		{"ref-w2", 2, sim.RunNetworkReferenceWithController},
-		{"ref-wN", runtime.NumCPU(), sim.RunNetworkReferenceWithController},
+		{"ref", 1, sim.RunNetworkReferenceWithController},
 	}
 	return cases
 }
@@ -51,8 +49,8 @@ func normalizeSim(r *sim.Result) {
 
 // A trace whose jobs all arrive at cycle 0 and never depart must reproduce
 // the static workload run bit for bit — the correctness anchor of the whole
-// subsystem — across the scheduler and reference engines at Workers
-// 1/2/NumCPU. A dynamic trace (staggered arrivals, one departure, one
+// subsystem — across the scheduler engines at Workers 1/2/NumCPU and the
+// reference engine. A dynamic trace (staggered arrivals, one departure, one
 // recycled allocation) must likewise be bit-identical across the same
 // matrix.
 func TestScheduleDegenerateMatchesRunWorkload(t *testing.T) {

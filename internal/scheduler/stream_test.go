@@ -178,8 +178,8 @@ func TestStreamMatchesDetailed(t *testing.T) {
 }
 
 // One generated trace must produce a bit-identical StreamResult — scalars,
-// network measurement and serialized sketch bytes — on the scheduler and
-// dense reference engines at Workers 1, 2 and NumCPU.
+// network measurement and serialized sketch bytes — on the scheduler
+// engines at Workers 1, 2 and NumCPU and the dense reference engine.
 func TestStreamEngineIdentity(t *testing.T) {
 	gt, err := Generate(genSpecSmall(60), 3)
 	if err != nil {

@@ -16,7 +16,7 @@ const watchdogInterval = 1024
 
 // Run executes one simulation and returns its measurements. Results are
 // bit-identical for any Workers value (the parallel engine only exchanges
-// state through time-indexed link buffers).
+// state through link events routed between cycles).
 func Run(cfg Config) (*Result, error) {
 	return RunWithPattern(cfg, nil)
 }
@@ -78,22 +78,21 @@ func RunNetworkWithController(net *Network, cfg *Config, ctrl Controller) error 
 	return runSequential(net, cfg.WarmupCycles, total, ctrl)
 }
 
-// RunNetworkReference drives the network with the dense reference engines
-// that step every router every cycle. It is the baseline the scheduler is
-// proven bit-identical against (see the cross-engine equivalence tests)
-// and the "before" side of the cmd/dfbench regression harness.
+// RunNetworkReference drives the network with the dense reference engine
+// that steps every router every cycle, sequentially. It is the baseline
+// the scheduler is proven bit-identical against (see the cross-engine
+// equivalence tests) and the "before" side of the cmd/dfbench regression
+// harness. cfg.Workers is ignored: results are worker-invariant, so the
+// oracle has a single, sequential form.
 func RunNetworkReference(net *Network, cfg *Config) error {
 	return RunNetworkReferenceWithController(net, cfg, nil)
 }
 
 // RunNetworkReferenceWithController is RunNetworkReference with a
 // reconfiguration Controller invoked between cycles (nil: none).
+// cfg.Workers is ignored, as for RunNetworkReference.
 func RunNetworkReferenceWithController(net *Network, cfg *Config, ctrl Controller) error {
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	if workers := clampWorkers(net, cfg); workers > 1 {
-		return runParallelRef(net, cfg.WarmupCycles, total, workers, ctrl)
-	}
-	return runSequentialRef(net, cfg.WarmupCycles, total, ctrl)
+	return runSequentialRef(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, ctrl)
 }
 
 // batchIndex maps a measurement cycle to its batch-means span.
@@ -160,8 +159,8 @@ func newSeqRun(net *Network, warmup, total int64, ctrl Controller) *seqRun {
 	}
 	sink := func(ev router.LinkEvent) {
 		// Route the event to the destination router immediately (its pop
-		// stages read the due-queue no earlier than the arrival cycle)
-		// and remember it for the post-settle wake pass.
+		// stages read the ring no earlier than the arrival cycle) and
+		// remember it for the post-settle wake pass.
 		s.core.PushDue(ev.Router, ev)
 		s.wbuf = append(s.wbuf, ev)
 	}
@@ -295,10 +294,11 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 
 // runParallel steps disjoint router shards on persistent workers with a
 // barrier per phase, each worker visiting only the active routers of its
-// shard. Cross-router state only flows through time-indexed link slots
-// written at least one cycle ahead, and all scheduler mutation (wake
-// draining, sleeps, calendar pops) happens on the coordinator between
-// barriers, so the result is identical to the sequential engine.
+// shard. Cross-router state only flows through link events buffered per
+// shard and routed by the coordinator between barriers, always at least
+// one cycle ahead, and all scheduler mutation (wake draining, sleeps,
+// calendar pops) happens there too, so the result is identical to the
+// sequential engine.
 //
 // Shards are re-partitioned by recent router activity every
 // rebalanceInterval cycles (see partition.go): under adversarial patterns
@@ -461,7 +461,7 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 		// Sleep decisions first, then event routing: a sleep that missed
 		// an event created this same cycle is corrected by notify, and a
 		// router woken before its events' arrival re-settles against the
-		// by-then routed due-queues.
+		// by-then routed rings.
 		for w := 0; w < workers; w++ {
 			for _, r := range lists[w] {
 				sched.settle(net, r, now, wakeAt[r])
@@ -522,92 +522,6 @@ func runSequentialRef(net *Network, warmup, total int64, ctrl Controller) error 
 		for r := range net.Routers {
 			net.generate(r, now)
 			net.Routers[r].Step(now)
-		}
-		if now%watchdogInterval == watchdogInterval-1 {
-			var err error
-			lastSeen, err = watchdog(net, now, lastSeen)
-			if err != nil {
-				return err
-			}
-		}
-		if fin != nil && fin.Finished(now) {
-			ran = now + 1
-			net.stoppedAt = ran
-			break
-		}
-	}
-	net.engineSteps = int64(len(net.Routers)) * ran
-	net.ranCycles += ran
-	return nil
-}
-
-// runParallelRef is the dense seed parallel engine (full shards, barrier
-// per phase), kept as the reference for the parallel scheduler path.
-func runParallelRef(net *Network, warmup, total int64, workers int, ctrl Controller) error {
-	reconf := newReconfigRun(net, ctrl)
-	probes := newProbeRun(net, warmup)
-	defer probes.finish()
-	shards := make([]span, workers)
-	n := len(net.Routers)
-	for w := 0; w < workers; w++ {
-		shards[w] = span{lo: w * n / workers, hi: (w + 1) * n / workers}
-	}
-	groups := net.Topo.NumGroups()
-	gShards := make([]span, workers)
-	for w := 0; w < workers; w++ {
-		gShards[w] = span{lo: w * groups / workers, hi: (w + 1) * groups / workers}
-	}
-
-	starts := make([]chan int64, workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		starts[w] = make(chan int64)
-		go func(w int) {
-			for now := range starts[w] {
-				if net.pb != nil {
-					for g := gShards[w].lo; g < gShards[w].hi; g++ {
-						net.pb.updateGroup(g)
-					}
-					done <- struct{}{}
-					if _, ok := <-starts[w]; !ok {
-						return
-					}
-				}
-				for r := shards[w].lo; r < shards[w].hi; r++ {
-					net.generate(r, now)
-					net.Routers[r].Step(now)
-				}
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	defer func() {
-		for _, ch := range starts {
-			close(ch)
-		}
-	}()
-
-	fin, _ := ctrl.(Finisher)
-	net.stoppedAt = 0
-	ran := total
-	var lastSeen int64
-	measure := total - warmup
-	batch := -1
-	for now := int64(0); now < total; now++ {
-		reconf.step(now, nil) // workers quiescent between cycles
-		probes.step(now)
-		setPhase(net, now, warmup, measure, &batch)
-		phases := 1
-		if net.pb != nil {
-			phases = 2
-		}
-		for ph := 0; ph < phases; ph++ {
-			for w := 0; w < workers; w++ {
-				starts[w] <- now
-			}
-			for w := 0; w < workers; w++ {
-				<-done
-			}
 		}
 		if now%watchdogInterval == watchdogInterval-1 {
 			var err error

@@ -29,7 +29,7 @@ type nodeState struct {
 type Network struct {
 	Topo    *topology.Topology
 	Routers []*router.Router
-	Links   []router.Link
+	Links   []*router.EventLink
 
 	cfg     *Config
 	mech    routing.Mechanism
@@ -99,9 +99,9 @@ type Network struct {
 	// post-construction rewiring or hand-injected state — and written
 	// back when the engine returns. coreLive is true only while a
 	// scheduler engine is between those two points; the dispatch helpers
-	// below (injection, link loads, in-flight counts, external-event
-	// horizons) read through the core exactly then, and through the
-	// classic routers otherwise (reference engines, pre/post-run).
+	// below (injection, link loads, in-flight counts) read through the
+	// core exactly then, and through the classic routers otherwise
+	// (reference engine, pre/post-run).
 	core     *router.Core
 	coreLive bool
 
@@ -176,10 +176,9 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 	// Links: one per direction, created from the sender side. Both ends
 	// record the far-side router id so the engines can wake receivers at
 	// packet- and credit-arrival cycles (schedule.go). Latencies come from
-	// the run's latency model, per link; the link implementation is the
-	// compact event queue unless cfg.RingLinks asks for the seed rings.
-	// Event horizons: packets on one link are spaced by the serialisation
-	// time, credits by the crossbar occupancy of the far input port.
+	// the run's latency model, per link. Event horizons: packets on one
+	// link are spaced by the serialisation time, credits by the crossbar
+	// occupancy of the far input port.
 	net.latency = cfg.LatencyModel
 	if net.latency == nil {
 		net.latency = topology.UniformLatency{Local: rcfg.LocalLatency, Global: rcfg.GlobalLatency}
@@ -187,8 +186,7 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 	if u, ok := net.latency.(topology.UniformLatency); ok {
 		net.uniform = &u
 	}
-	horizon := rcfg.SerialCycles()
-	newLink := func(lat, src, dst int) (router.Link, error) {
+	makeLink := func(lat, src, dst int) (*router.EventLink, error) {
 		if lat <= 0 {
 			return nil, fmt.Errorf("sim: latency model %q assigns non-positive latency %d to link %d->%d",
 				net.latency.Name(), lat, src, dst)
@@ -196,16 +194,13 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 		if int64(lat) > net.maxLinkLat {
 			net.maxLinkLat = int64(lat)
 		}
-		if cfg.RingLinks {
-			return router.NewLink(lat, horizon), nil
-		}
 		return router.NewEventLink(lat, rcfg.SerialCycles(), rcfg.CrossbarCycles()), nil
 	}
 	p := topo.Params()
 	for r := 0; r < topo.NumRouters(); r++ {
 		for l := 0; l < p.A-1; l++ {
 			nb := topo.LocalNeighbor(r, l)
-			link, err := newLink(net.latency.LocalLatency(topo, r, nb), r, nb)
+			link, err := makeLink(net.latency.LocalLatency(topo, r, nb), r, nb)
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +211,7 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 		}
 		for gp := p.A - 1; gp < p.A-1+p.H; gp++ {
 			nb, inPort := topo.GlobalNeighbor(r, gp)
-			link, err := newLink(net.latency.GlobalLatency(topo, r, nb), r, nb)
+			link, err := makeLink(net.latency.GlobalLatency(topo, r, nb), r, nb)
 			if err != nil {
 				return nil, err
 			}
@@ -296,16 +291,6 @@ func (net *Network) beginCore() *router.Core {
 func (net *Network) endCore() {
 	net.core.WriteBack()
 	net.coreLive = false
-}
-
-// earliestExternal dispatches Router.EarliestExternal to the live
-// representation (the scheduler's settle runs only during core runs,
-// but the helper keeps the invariant in one place).
-func (net *Network) earliestExternal(r int) int64 {
-	if net.coreLive {
-		return net.core.EarliestExternal(r)
-	}
-	return net.Routers[r].EarliestExternal()
 }
 
 // linkLoad dispatches Router.LinkLoad (the PiggyBack refresh input).

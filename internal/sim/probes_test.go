@@ -84,7 +84,7 @@ func TestProbeCadenceInvariance(t *testing.T) {
 
 // The probe stream itself is engine- and worker-invariant: samples read
 // only state proven bit-identical at every cycle boundary, at the same
-// point of the cycle in all four engines.
+// point of the cycle in every engine.
 func TestProbeStreamEngineInvariance(t *testing.T) {
 	cfg := probedCfg()
 	const every = 128
@@ -100,8 +100,7 @@ func TestProbeStreamEngineInvariance(t *testing.T) {
 	}{
 		{"sched-w2", 2, false},
 		{"sched-wN", runtime.NumCPU(), false},
-		{"ref-seq", 1, true},
-		{"ref-par", 2, true},
+		{"ref", 1, true},
 	}
 	for _, r := range runs {
 		c := cfg

@@ -132,9 +132,10 @@ func newSchedulerProbe(t *testing.T, cfg Config) *Network {
 }
 
 // The deadlock watchdog must keep firing when the scheduler has put every
-// router to sleep. A packet is marooned on a link whose receiving end was
-// detached, after which the whole network is quiescent forever — exactly
-// the state where a naive active-set engine would idle past the stall.
+// router to sleep. A packet is marooned on a detached link that no router
+// is wired to, after which the whole network is quiescent forever with a
+// packet in flight — exactly the state where a naive active-set engine
+// would idle past the stall.
 func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mechanism = "MIN"
@@ -146,23 +147,11 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Detach router 0's local port 0 from its receiver: packets sent
-		// there serialize onto the void link and never arrive anywhere.
-		void := router.NewLink(cfg.Router.LocalLatency, cfg.Router.SerialCycles())
-		net.Routers[0].ConnectOutTo(0, void, -1, -1)
+		// The void link counts towards InFlight (it is in net.Links), but
+		// no router pops it: the packet never arrives anywhere.
+		void := router.NewEventLink(cfg.Router.LocalLatency, cfg.Router.SerialCycles(), cfg.Router.CrossbarCycles())
+		void.PushPacket(int64(cfg.Router.LocalLatency), &packet.Packet{})
 		net.Links = append(net.Links, void)
-
-		// Hand-inject one packet whose minimal route uses that port.
-		src := net.Topo.NodeID(0, 0)
-		dst := net.Topo.NodeID(net.Topo.LocalNeighbor(0, 0), 0)
-		pkt := &packet.Packet{}
-		pkt.Reset()
-		pkt.Src, pkt.Dst = src, dst
-		pkt.Size = cfg.Router.PacketSize
-		min := net.Topo.MinimalPathLength(src, dst)
-		pkt.MinLocal, pkt.MinGlobal = min.Local, min.Global
-		net.mech.OnGenerate(&net.env, pkt, net.nodes[src].rnd)
-		net.Routers[0].EnqueueInjection(0, pkt)
 
 		total := cfg.WarmupCycles + cfg.MeasureCycles
 		if workers > 1 {

@@ -40,9 +40,9 @@ type Snapshot struct {
 	cfg  Config // build configuration, Probes/Tracer stripped
 	warm int64  // warm-up cycles baked into the captured state (0: construction)
 	tmpl *Network
-	// portLinks is the template's port→link-index table, computed once at
-	// capture so every restore rewires ports by index instead of through
-	// an interface-keyed map (see router.PortLinkIndex).
+	// portLinks is the port→link-index table of the captured network
+	// (and of every clone of it), computed once at capture so every clone
+	// rewires ports by index (see router.PortLinkIndex).
 	portLinks []int32
 }
 
@@ -59,8 +59,8 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 	cfg.Probes = nil
 	cfg.Tracer = nil
 	snap := &Snapshot{cfg: cfg, warm: net.ranCycles}
-	snap.tmpl = cloneNetwork(net, &snap.cfg, net.ranCycles, nil, nil)
-	snap.portLinks = router.PortLinkIndex(snap.tmpl.Routers, snap.tmpl.Links)
+	snap.portLinks = router.PortLinkIndex(net.Routers, net.Links)
+	snap.tmpl = cloneNetwork(net, &snap.cfg, net.ranCycles, snap.portLinks, nil)
 	return snap, nil
 }
 
@@ -109,7 +109,7 @@ func latName(c *Config) string {
 // CompatibleWith reports whether cfg may be restored from this snapshot.
 // Everything that shapes the wired structure or the random streams must
 // match the capture configuration: topology, mechanism, pattern, seed,
-// router and routing parameters, link implementation and latency model.
+// router and routing parameters and latency model.
 // Load, cycle counts, worker count, probes and tracer are free — load
 // freely for construction snapshots, within the warm-reuse contract
 // documented on Snapshot for warm ones.
@@ -128,8 +128,6 @@ func (s *Snapshot) CompatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: snapshot router config does not match")
 	case cfg.Routing != b.Routing:
 		return fmt.Errorf("sim: snapshot routing config does not match")
-	case cfg.RingLinks != b.RingLinks:
-		return fmt.Errorf("sim: snapshot link implementation does not match (ring %v vs %v)", b.RingLinks, cfg.RingLinks)
 	case latName(cfg) != latName(b):
 		return fmt.Errorf("sim: snapshot latency model %q does not match %q", latName(b), latName(cfg))
 	}
@@ -183,15 +181,14 @@ func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, er
 // latency model, group map, the pre-draw node RNG bank — is shared;
 // everything the engines mutate is copied, with router, link and node
 // state allocated in bulk slabs (see router.CloneRouters/CloneLinkSlice).
-// portLinks, when non-nil, is src's precomputed port→link-index table;
-// without it the ports are rewired through an original→clone link map.
+// portLinks is src's port→link-index table (see router.PortLinkIndex).
 //
 // into, when non-nil, must be a network previously produced by
 // cloneNetwork from this same src (the RestoreNetworkInto provenance
 // check): its routers, links, nodes and per-network slices are then
 // overwritten in place instead of reallocated, and any state left over
 // from its runs (run counters, telemetry, stale references inside the
-// reused structures) is reset. The reuse path requires portLinks.
+// reused structures) is reset.
 func cloneNetwork(src *Network, cfg *Config, rebase int64, portLinks []int32, into *Network) *Network {
 	clone := into
 	reuse := into != nil
@@ -243,16 +240,12 @@ func cloneNetwork(src *Network, cfg *Config, rebase int64, portLinks []int32, in
 		PortLinks: portLinks,
 		Rebase:    rebase,
 	}
-	switch {
-	case reuse && len(clone.Links) == len(src.Links):
+	if reuse && len(clone.Links) == len(src.Links) {
 		router.CloneLinkSliceInto(src.Links, clone.Links, rebase)
-		spec.Cloned = clone.Links
-	case portLinks != nil:
+	} else {
 		clone.Links = router.CloneLinkSlice(src.Links, rebase)
-		spec.Cloned = clone.Links
-	default:
-		clone.Links, spec.Links = router.CloneLinks(src.Links, rebase)
 	}
+	spec.Cloned = clone.Links
 	clone.jobs = src.jobs
 	if src.nodeJob == nil {
 		clone.nodeJob = nil

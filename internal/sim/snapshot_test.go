@@ -38,7 +38,7 @@ func randomSnapTrial(rnd *rand.Rand, seed uint64) snapTrial {
 	cfg.WarmupCycles = 5
 	cfg.MeasureCycles = int64(35 + rnd.Intn(41))
 	cfg.Seed = seed
-	cfg.RingLinks = rnd.Intn(2) == 0
+	rnd.Intn(2) // formerly the link-kind draw; kept so the trial sequence is unchanged
 	if rnd.Intn(2) == 0 {
 		cfg.LatencyModel = topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
 	}
@@ -100,9 +100,9 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 
 	for trial := 0; trial < trials; trial++ {
 		tr := randomSnapTrial(rnd, uint64(7+trial))
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) ring=%v lat=%q probes=%v, %d cycles",
+		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v, %d cycles",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			tr.cfg.RingLinks, latName(&tr.cfg), tr.probes,
+			latName(&tr.cfg), tr.probes,
 			tr.cfg.WarmupCycles+tr.cfg.MeasureCycles)
 
 		snapCfg := tr.cfg
@@ -173,10 +173,9 @@ func TestRestoreIntoRecycled(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < trials; trial++ {
 		tr := randomSnapTrial(rnd, uint64(31+trial))
-		tr.cfg.RingLinks = trial%2 == 1 // both link kinds: ring links recycle via the fallback
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) ring=%v lat=%q probes=%v",
+		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			tr.cfg.RingLinks, latName(&tr.cfg), tr.probes)
+			latName(&tr.cfg), tr.probes)
 		snapCfg := tr.cfg
 		snapCfg.Load = tr.snapLoad
 		snap, err := NewSnapshot(snapCfg, 0)

@@ -10,9 +10,10 @@ import (
 
 // Randomized cross-engine state equivalence. The scheduler engines run the
 // flat router core (SoA arrays, event links, in-core payload transport);
-// the dense reference engines run the seed's per-router structs and ring
-// links. The per-router *results* being identical at the end of a run is a
-// weak check — two engines could diverge mid-run and reconverge. This test
+// the dense reference engine runs the seed's per-router structs, popping
+// every event link every cycle. The per-router *results* being identical
+// at the end of a run is a weak check — two engines could diverge mid-run
+// and reconverge. This test
 // compares the full microarchitectural state (credits, occupancy, queue
 // contents packet by packet, allocator and arbitration pointers — see
 // Router.StateVector) after every prefix of a run, under mid-run job churn
