@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -33,6 +34,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "dfserved:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole daemon, in either mode, until SIGINT or SIGTERM.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dfserved", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "server bind address (the daemon is auth-free: keep it on localhost or a trusted network)")
 	store := fs.String("store", "", "job store directory for checkpoints and the submission journal (empty: memory only)")
@@ -41,12 +50,10 @@ func main() {
 	worker := fs.String("worker", "", "run as a pull worker against this server URL instead of serving")
 	name := fs.String("name", "", "worker name (default: hostname-pid)")
 	batch := fs.Int("batch", 4, "worker: maximum points per lease")
-	poll := fs.Duration("poll", 500*time.Millisecond, "worker: idle wait between empty lease attempts")
+	poll := fs.Duration("poll", 500*time.Millisecond, "worker: longest one lease request waits for work; retry delay after an error")
 	jobs := fs.Int("jobs", 0, "worker: concurrent simulations per batch (0: pool width)")
 	quiet := fs.Bool("quiet", false, "suppress per-event log lines")
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(2)
-	}
+	fs.Parse(args) //nolint:errcheck // ExitOnError: Parse exits on a bad flag
 	logf := func(format string, args ...any) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -70,10 +77,7 @@ func main() {
 			Logf:   logf,
 		}
 		logf("dfserved: worker %s pulling from %s", *name, *worker)
-		if err := w.Run(ctx); err != nil {
-			fatal(err)
-		}
-		return
+		return w.Run(ctx)
 	}
 
 	mgr, err := serve.NewManager(serve.Options{
@@ -83,27 +87,36 @@ func main() {
 		Logf:         logf,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatal(err)
+		mgr.Close()
+		return err
 	}
-	srv := &http.Server{Handler: mgr.Handler()}
-	fmt.Printf("dfserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(*store))
+	srv := serve.NewServer(mgr.Handler())
+	// Parked lease requests answer at once when shutdown starts, so they
+	// do not hold it up.
+	srv.RegisterOnShutdown(mgr.StopDispatch)
+	fmt.Fprintf(stdout, "dfserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(*store))
+	shutDown := make(chan struct{})
 	go func() {
+		defer close(shutDown)
 		<-ctx.Done()
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(shutCtx) //nolint:errcheck
 	}()
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fatal(err)
+		mgr.Close()
+		return err
 	}
+	<-shutDown // Serve returns at once; handlers still in flight finish first
 	if err := mgr.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintln(os.Stderr, "dfserved: shut down")
+	return nil
 }
 
 func storeDesc(dir string) string {
@@ -111,9 +124,4 @@ func storeDesc(dir string) string {
 		return "memory"
 	}
 	return dir
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dfserved:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,7 +95,7 @@ GET  /api/jobs/{id}/series     aggregated seed-averaged series (when done)
 GET  /api/jobs/{id}/csv        series as CSV, byte-identical to dfsweep -csv
 GET  /api/jobs/{id}/watch      stream JSONL status lines until done
 POST /api/jobs/{id}/cancel     cancel a job
-POST /api/worker/lease         lease a point batch (worker pull)
+POST /api/worker/lease         lease a point batch (worker pull; wait_seconds long-polls)
 POST /api/worker/renew         extend a lease
 POST /api/worker/complete      push completed records
 GET  /api/stats                store counters (leases, dedup hits)
@@ -278,15 +279,21 @@ func (h cancelHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Snapshot(false))
 }
 
-// leaseRequest is the worker-pull body.
+// leaseRequest is the worker-pull body. WaitSeconds is how long the
+// request may wait for work when none is pending (absent or 0: answer at
+// once).
 type leaseRequest struct {
-	Worker     string  `json:"worker"`
-	MaxPoints  int     `json:"max_points"`
-	TTLSeconds float64 `json:"ttl_seconds"`
+	Worker      string  `json:"worker"`
+	MaxPoints   int     `json:"max_points"`
+	TTLSeconds  float64 `json:"ttl_seconds"`
+	WaitSeconds float64 `json:"wait_seconds"`
 }
 
 // leaseHandler grants a point batch (POST /api/worker/lease). 204 when
-// no work is pending.
+// no work is pending, or none arrived within the request's wait_seconds
+// (a long poll: the request is answered as soon as work is submitted or a
+// dead worker's lease expires). A parked request also ends when its
+// client goes away or dispatch stops.
 type leaseHandler struct{ m *Manager }
 
 func (h leaseHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +305,11 @@ func (h leaseHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ttl <= 0 {
 		ttl = h.m.ttl
 	}
-	info, ok := h.m.Store().Lease(req.Worker, req.MaxPoints, ttl)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(h.m.ctx, cancel)()
+	wait := time.Duration(req.WaitSeconds * float64(time.Second))
+	info, ok := h.m.Store().Lease(ctx, req.Worker, req.MaxPoints, ttl, wait)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"dragonfly/internal/telemetry"
 )
@@ -63,7 +64,20 @@ func ServeLive(l *telemetry.Live, addr string) (net.Addr, error) {
 		fmt.Fprint(w, "dragonfly live endpoint\n\n/api/progress\n/api/tasks\n/api/probes\n/debug/vars\n")
 	})
 	LiveRoutes(mux, l)
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln) //nolint:errcheck // runs until process exit
+	go NewServer(mux).Serve(ln) //nolint:errcheck // runs until process exit
 	return ln.Addr(), nil
+}
+
+// NewServer returns the http.Server both HTTP surfaces run h on. Clients
+// must send their request headers within 10 s, and a keep-alive
+// connection idle for 2 min is closed, so stalled or abandoned clients
+// cannot pin connections. WriteTimeout stays unset on purpose: a parked
+// lease request waits for work up to its wait_seconds and a /watch stream
+// lasts as long as its job, so they outlive any fixed write deadline.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

@@ -49,7 +49,8 @@ type Options struct {
 	Live *telemetry.Live
 	// LocalRunners is the number of in-process point runners (0:
 	// NumCPU; negative: none — a dispatch-only server that relies
-	// entirely on remote workers).
+	// entirely on remote workers). Idle runners park on the store's work
+	// signal, so one submitted job wakes all of them at once.
 	LocalRunners int
 	// LeaseTTL is the default lease lifetime local runners use and the
 	// fallback for worker leases that name none (0: one minute).
@@ -69,10 +70,9 @@ type Manager struct {
 	logf  func(string, ...any)
 	start time.Time
 
-	ctx    context.Context
+	ctx    context.Context // ends dispatch: runners exit, parked leases return
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	kick   chan struct{}
 
 	mu      sync.Mutex // guards journal writes
 	journal *os.File
@@ -113,7 +113,6 @@ func NewManager(opts Options) (*Manager, error) {
 		start:  time.Now(),
 		ctx:    ctx,
 		cancel: cancel,
-		kick:   make(chan struct{}, 1),
 	}
 	if opts.StoreDir != "" {
 		if err := m.replayJournal(filepath.Join(opts.StoreDir, "submits.jsonl")); err != nil {
@@ -133,9 +132,16 @@ func NewManager(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Close stops the local runners and releases the store and journal.
+// StopDispatch ends dispatch: parked lease requests answer empty at once
+// and local runners exit after their current point. An HTTP server calls
+// it when its shutdown starts, so parked leases do not hold the shutdown
+// up; handlers still in flight keep working against the store.
+func (m *Manager) StopDispatch() { m.cancel() }
+
+// Close stops dispatch, waits for the local runners and releases the
+// store and journal.
 func (m *Manager) Close() error {
-	m.cancel()
+	m.StopDispatch()
 	m.wg.Wait()
 	m.mu.Lock()
 	if m.journal != nil {
@@ -268,7 +274,6 @@ func (m *Manager) submit(raw json.RawMessage, journal bool) (SubmitResult, error
 		if journal {
 			m.appendJournal(journalLine{Spec: canonical})
 		}
-		m.kickRunners()
 	}
 	return SubmitResult{Job: job.Snapshot(true), Existing: existed}, nil
 }
@@ -283,35 +288,18 @@ func (m *Manager) Cancel(jobID string) error {
 	return nil
 }
 
-// kickRunners wakes idle local runners without blocking.
-func (m *Manager) kickRunners() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
 // runLocal is one in-process point runner: it pulls single-point leases
 // through the same lease surface remote workers use (so every executed
 // simulation is accounted by the store's lease counter), runs them, and
-// completes the lease. A renewal goroutine keeps the lease alive while
-// the simulation outlives the TTL.
+// completes the lease. Between points it parks in Lease until work
+// arrives or dispatch stops. A renewal goroutine keeps the lease alive
+// while the simulation outlives the TTL.
 func (m *Manager) runLocal() {
 	defer m.wg.Done()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		default:
-		}
-		info, ok := m.store.Lease("local", 1, m.ttl)
+	for m.ctx.Err() == nil {
+		// A parked request lives no longer than a lease would.
+		info, ok := m.store.Lease(m.ctx, "local", 1, m.ttl, m.ttl)
 		if !ok {
-			select {
-			case <-m.ctx.Done():
-				return
-			case <-m.kick:
-			case <-time.After(250 * time.Millisecond):
-			}
 			continue
 		}
 		job := m.store.Job(info.JobID)

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -401,6 +403,72 @@ func TestServeCancel(t *testing.T) {
 	// The incomplete job refuses aggregation.
 	if status, _ := getBody(t, srv.URL+"/api/jobs/"+res.Job.ID+"/series"); status != http.StatusConflict {
 		t.Fatalf("series of an incomplete job: status %d, want 409", status)
+	}
+}
+
+// A lease request with wait_seconds parks until a job is submitted and is
+// then answered with that job's points.
+func TestServeLeaseLongPoll(t *testing.T) {
+	_, srv := newTestServer(t, Options{LocalRunners: -1, LeaseTTL: time.Minute})
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/api/worker/lease", "application/json",
+			strings.NewReader(`{"worker":"w","max_points":1,"ttl_seconds":60,"wait_seconds":30}`))
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- answer{resp.StatusCode, body, err}
+	}()
+	time.Sleep(100 * time.Millisecond) // let the request park
+	submitted := time.Now()
+	res := submitJob(t, srv, testSpec)
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.status != http.StatusOK {
+		t.Fatalf("parked lease: status %d: %s", a.status, a.body)
+	}
+	var info sweep.LeaseInfo
+	if err := json.Unmarshal(a.body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.JobID != res.Job.ID || len(info.Points) != 1 {
+		t.Fatalf("lease = %+v", info)
+	}
+	if d := time.Since(submitted); d > 5*time.Second {
+		t.Fatalf("parked lease answered %v after the submit", d)
+	}
+}
+
+// Against a server that answers every lease 204 at once (one that does
+// not long-poll), a Worker still asks at most once per Poll.
+func TestWorkerPacesEmptyAnswers(t *testing.T) {
+	var asked atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/worker/lease" {
+			asked.Add(1)
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+	const poll = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	(&Worker{Server: srv.URL, Name: "w", Poll: poll}).Run(ctx) //nolint:errcheck // returns nil on cancel
+	elapsed := time.Since(start)
+	limit := int64(math.Ceil(float64(elapsed)/float64(poll))) + 1
+	if n := asked.Load(); n > limit || n == 0 {
+		t.Fatalf("worker sent %d lease requests in %v, want 1..%d", n, elapsed, limit)
 	}
 }
 

@@ -15,13 +15,14 @@ import (
 )
 
 // Worker is the pull side of the dispatch protocol: dfserved -worker
-// runs one. It polls the server for point leases, rebuilds each lease's
-// grid from the spec that rides in the lease, runs the points on the
-// shared sweep pool, and pushes the records back. A renewal loop keeps
-// the lease alive while simulations outlive the TTL; if the worker dies
-// instead, the server expires the lease and re-leases its points — and
-// if a slow worker completes after expiry, the server drops the
-// duplicates, so crash recovery never skews results.
+// runs one. It long-polls the server for point leases (each request waits
+// up to Poll for work, so a submitted job reaches an idle worker at once),
+// rebuilds each lease's grid from the spec that rides in the lease, runs
+// the points on the shared sweep pool, and pushes the records back. A
+// renewal loop keeps the lease alive while simulations outlive the TTL;
+// if the worker dies instead, the server expires the lease and re-leases
+// its points — and if a slow worker completes after expiry, the server
+// drops the duplicates, so crash recovery never skews results.
 type Worker struct {
 	// Server is the dfserved base URL ("http://host:8080").
 	Server string
@@ -31,7 +32,9 @@ type Worker struct {
 	Batch int
 	// TTL is the lease lifetime requested (0: one minute).
 	TTL time.Duration
-	// Poll is the idle wait between empty lease attempts (0: 500ms).
+	// Poll is the longest one lease request waits for work, and the
+	// retry delay after an error (0: 500ms). The worker never asks more
+	// often than once per Poll, even of a server that answers at once.
 	Poll time.Duration
 	// Jobs bounds concurrent simulations within a batch (0: pool width).
 	Jobs int
@@ -83,9 +86,11 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, err
 	return resp.StatusCode, nil
 }
 
-// Run processes leases until ctx is cancelled. Transient server errors
-// (restarts, network blips) are retried at the poll cadence — a worker
-// is a daemon, not a batch job.
+// Run processes leases until ctx is cancelled. An empty answer is
+// re-asked at once, unless it came sooner than the requested wait (a
+// server that does not long-poll): then the worker sleeps out the rest of
+// Poll. Transient server errors (restarts, network blips) are retried
+// after Poll — a worker is a daemon, not a batch job.
 func (w *Worker) Run(ctx context.Context) error {
 	batch := w.Batch
 	if batch <= 0 {
@@ -101,30 +106,37 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	for {
 		var lease sweep.LeaseInfo
+		asked := time.Now()
 		status, err := w.post(ctx, "/api/worker/lease", leaseRequest{
-			Worker:     w.Name,
-			MaxPoints:  batch,
-			TTLSeconds: ttl.Seconds(),
+			Worker:      w.Name,
+			MaxPoints:   batch,
+			TTLSeconds:  ttl.Seconds(),
+			WaitSeconds: poll.Seconds(),
 		}, &lease)
+		var pause time.Duration
 		switch {
 		case ctx.Err() != nil:
 			return nil
 		case err != nil:
 			w.logf("worker: lease: %v", err)
-			fallthrough
+			pause = poll
 		case status == http.StatusNoContent:
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(poll):
+			pause = poll - time.Since(asked)
+		default:
+			if err := w.process(ctx, lease, ttl); err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				w.logf("worker: lease %s: %v", lease.LeaseID, err)
 			}
 			continue
 		}
-		if err := w.process(ctx, lease, ttl); err != nil {
-			if ctx.Err() != nil {
+		if pause > 0 {
+			select {
+			case <-ctx.Done():
 				return nil
+			case <-time.After(pause):
 			}
-			w.logf("worker: lease %s: %v", lease.LeaseID, err)
 		}
 	}
 }

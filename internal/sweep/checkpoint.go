@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,6 +99,16 @@ func RecordOf(task string, s Sample) Record {
 		rec.Injections[i] = float64(v)
 	}
 	return rec
+}
+
+// clone returns a copy of r that shares no memory with it. Its slices
+// are exactly as long as their contents: a record decoded from JSON
+// carries the doubled capacity the decoder grew it to.
+func (r *Record) clone() Record {
+	c := *r
+	c.Injections = slices.Clone(r.Injections)
+	c.Extra = slices.Clone(r.Extra)
+	return c
 }
 
 // Key returns the resume identity of the record: task plus the requested
@@ -199,10 +210,13 @@ type ckptMeta struct {
 // store (Lookup always misses, Put discards), so pipeline code needs no
 // branching when checkpointing is off.
 type Checkpoint struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	done map[string]Record
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
+	// done holds each record once; the serve job store points its jobs at
+	// these same records instead of keeping a second copy. A held record
+	// is never modified.
+	done map[string]*Record
 }
 
 // OpenCheckpoint opens (or creates) the checkpoint at path and loads every
@@ -214,7 +228,7 @@ type Checkpoint struct {
 // file is reopened for appending, so the next record never glues onto
 // debris; every newline-terminated record before it is trusted.
 func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
-	c := &Checkpoint{done: make(map[string]Record)}
+	c := &Checkpoint{done: make(map[string]*Record)}
 	data, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -259,7 +273,8 @@ func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
 				// mismatch, not a torn tail: refuse the file.
 				return nil, fmt.Errorf("sweep: checkpoint %s holds a schema-%d record, this binary speaks %d — delete it to start over", path, rec.Schema, SchemaVersion)
 			}
-			c.done[rec.Key()] = rec
+			held := rec.clone()
+			c.done[rec.Key()] = &held
 			off, valid = next, next
 		}
 		if first && len(data) > 0 {
@@ -312,33 +327,56 @@ func (c *Checkpoint) writeLine(v any) error {
 // Point may differ from pt in the last few bits — returning pt instead
 // keeps exact-equality consumers (aggregation grouping, derived-task
 // matching) consistent between restored and freshly-run records.
+//
+// The returned record is a copy: changing it, its Injections included,
+// does not change what the checkpoint holds.
 func (c *Checkpoint) Lookup(task string, pt Point) (Record, bool) {
-	if c == nil {
+	held := c.held(task, pt)
+	if held == nil {
 		return Record{}, false
+	}
+	rec := held.clone()
+	rec.Point = pt
+	return rec, true
+}
+
+// held returns the checkpoint's own record for a task point (nil if
+// none). Callers share it and must not modify it.
+func (c *Checkpoint) held(task string, pt Point) *Record {
+	if c == nil {
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.done[recordKey(task, pt)]
-	if ok {
-		rec.Point = pt
-	}
-	return rec, ok
+	return c.done[recordKey(task, pt)]
 }
 
 // Put persists one completed record. Concurrency-safe; each record is
-// flushed to disk before Put returns.
+// flushed to disk before Put returns. The checkpoint keeps rec's slices,
+// so the caller must not modify them afterwards.
 func (c *Checkpoint) Put(rec Record) error {
+	_, err := c.add(&rec)
+	return err
+}
+
+// add is Put for a record the caller hands over: unless the checkpoint
+// already holds the point, rec becomes its copy and is persisted. It
+// returns the record the checkpoint holds for the point (rec itself for a
+// nil checkpoint), so the caller can share that one instead of keeping
+// its own. rec must not be modified afterwards.
+func (c *Checkpoint) add(rec *Record) (*Record, error) {
 	if c == nil {
-		return nil
+		return rec, nil
 	}
 	rec.Schema = SchemaVersion
+	key := rec.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.done[rec.Key()]; dup {
-		return nil
+	if held, dup := c.done[key]; dup {
+		return held, nil
 	}
-	c.done[rec.Key()] = rec
-	return c.writeLine(rec)
+	c.done[key] = rec
+	return rec, c.writeLine(rec)
 }
 
 // Len reports how many records the checkpoint holds.

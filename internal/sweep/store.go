@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,6 +34,13 @@ import (
 // regardless of worker count, host split, or arrival order: records live
 // in point-index slots and aggregation folds them in index order, the
 // same invariant the experiment pipeline relies on.
+//
+// Dispatch is event-driven. The store keeps one work signal, a channel
+// closed whenever points become pending (a new job, an expired lease, the
+// unreported rest of a partial batch), and a Lease that may wait parks on
+// it. A parked caller also arms a timer to the earliest outstanding lease
+// deadline, so a dead worker's points reach it at expiry; expiry thus
+// stays lazy, with no background goroutine.
 
 // JobStatus is the lifecycle state of a store job.
 type JobStatus string
@@ -67,7 +75,7 @@ type Job struct {
 	ck     *Checkpoint    // shared per-base-fingerprint store (nil: memory only)
 
 	// Guarded by store.mu:
-	recs      []Record
+	recs      []*Record // shared with ck, which holds the same records
 	state     []pointState
 	done      int
 	failed    int
@@ -151,6 +159,7 @@ type Store struct {
 	leaseSeq int64
 	nLeased  int64
 	nExpired int64
+	work     chan struct{} // closed and replaced whenever points become pending
 }
 
 // NewStore opens a store rooted at dir ("" = memory only).
@@ -166,6 +175,7 @@ func NewStore(dir string) (*Store, error) {
 		jobs:   make(map[string]*Job),
 		ckpts:  make(map[string]*Checkpoint),
 		leases: make(map[string]*lease),
+		work:   make(chan struct{}),
 	}, nil
 }
 
@@ -220,7 +230,7 @@ func (s *Store) Submit(id, baseFP string, spec json.RawMessage, grid Grid) (*Job
 		pts:    pts,
 		index:  make(map[string]int, len(pts)),
 		ck:     ck,
-		recs:   make([]Record, len(pts)),
+		recs:   make([]*Record, len(pts)),
 		state:  make([]pointState, len(pts)),
 		change: make(chan struct{}),
 	}
@@ -230,7 +240,7 @@ func (s *Store) Submit(id, baseFP string, spec json.RawMessage, grid Grid) (*Job
 			return nil, false, fmt.Errorf("sweep: job %s lists point %v twice", id, pt)
 		}
 		j.index[key] = i
-		if rec, ok := ck.Lookup("", pt); ok {
+		if rec := ck.held("", pt); rec != nil {
 			j.recs[i] = rec
 			j.state[i] = pointDone
 			j.done++
@@ -242,6 +252,9 @@ func (s *Store) Submit(id, baseFP string, spec json.RawMessage, grid Grid) (*Job
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, j)
+	if j.done < len(pts) {
+		s.signalLocked()
+	}
 	return j, false, nil
 }
 
@@ -280,23 +293,54 @@ func (s *Store) Jobs() []*Job {
 // expireLocked lazily retires leases whose deadline passed, returning
 // their unfinished points to pending. Called on every dispatch-path
 // access, so a dead worker's points become leasable again as soon as
-// anyone else asks for work.
+// anyone else asks for work; a parked Lease wakes at the earliest
+// deadline to ask.
 func (s *Store) expireLocked() {
 	now := s.now()
 	for id, l := range s.leases {
 		if !l.deadline.Before(now) {
 			continue
 		}
-		for _, i := range l.points {
-			if l.job.state[i] == pointLeased {
-				l.job.state[i] = pointPending
-				l.job.leased--
-			}
-		}
+		s.releaseLocked(l)
 		delete(s.leases, id)
 		s.nExpired++
 		l.job.bumpLocked()
 	}
+}
+
+// releaseLocked returns a lease's unfinished points to pending and
+// signals the work.
+func (s *Store) releaseLocked(l *lease) {
+	released := false
+	for _, i := range l.points {
+		if l.job.state[i] == pointLeased {
+			l.job.state[i] = pointPending
+			l.job.leased--
+			released = true
+		}
+	}
+	if released {
+		s.signalLocked()
+	}
+}
+
+// signalLocked wakes every parked Lease: points became pending.
+func (s *Store) signalLocked() {
+	close(s.work)
+	s.work = make(chan struct{})
+}
+
+// untilExpiryLocked returns how long until the first outstanding lease
+// expires, by the store's clock (ok=false with no lease outstanding).
+func (s *Store) untilExpiryLocked() (d time.Duration, ok bool) {
+	var next time.Time
+	for _, l := range s.leases {
+		if !ok || l.deadline.Before(next) {
+			next, ok = l.deadline, true
+		}
+	}
+	// A lease expires once the clock is past its deadline.
+	return next.Sub(s.now()) + time.Nanosecond, ok
 }
 
 // bumpLocked broadcasts a job state change to watchers.
@@ -314,19 +358,69 @@ func (j *Job) Changed() <-chan struct{} {
 }
 
 // Lease grants up to max pending points of one job (jobs are scanned in
-// submission order), ok=false when no work is available. The lease must
-// be completed or renewed within ttl or its points are re-leased to the
-// next asker.
-func (s *Store) Lease(worker string, max int, ttl time.Duration) (LeaseInfo, bool) {
+// submission order). The lease must be completed or renewed within ttl or
+// its points are re-leased to the next asker.
+//
+// When no work is pending, Lease waits up to wait for some, returning
+// ok=false if none arrives in time or ctx ends first; wait 0 answers at
+// once. Every waiting caller wakes on the work signal, so one submitted
+// job reaches all parked workers, and at the earliest lease deadline, so
+// a dead worker's points reach them when its lease expires.
+func (s *Store) Lease(ctx context.Context, worker string, max int, ttl, wait time.Duration) (LeaseInfo, bool) {
 	if max <= 0 {
 		max = 1
 	}
 	if ttl <= 0 {
 		ttl = time.Minute
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
+	var timeout <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for {
+		s.mu.Lock()
+		s.expireLocked()
+		info, ok := s.grantLocked(worker, max, ttl)
+		if ok || wait <= 0 {
+			s.mu.Unlock()
+			return info, ok
+		}
+		work := s.work
+		untilExpiry, leased := s.untilExpiryLocked()
+		s.mu.Unlock()
+		if !park(ctx, work, timeout, untilExpiry, leased) {
+			return LeaseInfo{}, false
+		}
+	}
+}
+
+// park blocks a waiting Lease until points may have become pending: the
+// work signal fires, or the first outstanding lease expires (after
+// untilExpiry, when leased). It returns false when the wait runs out or
+// ctx ends first.
+func park(ctx context.Context, work <-chan struct{}, timeout <-chan time.Time, untilExpiry time.Duration, leased bool) bool {
+	var expired <-chan time.Time
+	if leased {
+		t := time.NewTimer(untilExpiry)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-work:
+	case <-expired:
+	case <-timeout:
+		return false
+	case <-ctx.Done():
+		return false
+	}
+	return true
+}
+
+// grantLocked leases up to max pending points of the first job that has
+// any.
+func (s *Store) grantLocked(worker string, max int, ttl time.Duration) (LeaseInfo, bool) {
 	for _, j := range s.order {
 		if j.cancelled || j.done == len(j.pts) {
 			continue
@@ -427,30 +521,28 @@ func (s *Store) Complete(jobID, leaseID string, recs []Record) (int, error) {
 		if j.state[i] == pointDone {
 			continue // completed elsewhere after a lease expiry
 		}
-		rec.Task = "" // job records live under the bare point key
 		if j.state[i] == pointLeased {
 			j.leased--
 		}
 		j.state[i] = pointDone
-		j.recs[i] = rec
 		j.done++
 		if rec.Err != "" {
 			j.failed++
 		}
 		applied++
-		if err := j.ck.Put(rec); err != nil && firstErr == nil {
+		// One exact-length copy, shared with the checkpoint.
+		own := rec.clone()
+		own.Task = "" // job records live under the bare point key
+		held, err := j.ck.add(&own)
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+		j.recs[i] = held
 	}
 	if l, ok := s.leases[leaseID]; ok && l.job == j {
 		// Return any points the worker leased but did not report (a
 		// partial batch) to pending, and retire the lease.
-		for _, i := range l.points {
-			if j.state[i] == pointLeased {
-				j.state[i] = pointPending
-				j.leased--
-			}
-		}
+		s.releaseLocked(l)
 		delete(s.leases, leaseID)
 	}
 	if applied > 0 || leaseID != "" {
@@ -515,13 +607,17 @@ func (j *Job) snapshotLocked(withSpec bool) JobSnapshot {
 // whether the job is fully done. Aggregating the returned slice when
 // done=true is byte-identical to aggregating a local Grid.Run of the
 // same spec: both fold the same per-point records in the same order.
+// The records are copies under the job's own point identities (see
+// Checkpoint.Lookup); changing them does not change the store.
 func (j *Job) Records() (recs []Record, done bool) {
 	j.store.mu.Lock()
 	defer j.store.mu.Unlock()
 	recs = make([]Record, 0, j.done)
 	for i, st := range j.state {
 		if st == pointDone {
-			recs = append(recs, j.recs[i])
+			rec := j.recs[i].clone()
+			rec.Point = j.pts[i]
+			recs = append(recs, rec)
 		}
 	}
 	return recs, j.done == len(j.pts)

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -32,7 +34,7 @@ func runLease(t *testing.T, s *Store, g Grid, info LeaseInfo) int {
 func drainJob(t *testing.T, s *Store, g Grid, worker string) {
 	t.Helper()
 	for {
-		info, ok := s.Lease(worker, 2, time.Minute)
+		info, ok := s.Lease(context.Background(), worker, 2, time.Minute, 0)
 		if !ok {
 			return
 		}
@@ -121,17 +123,17 @@ func TestStoreLeaseExpiryRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead, ok := s.Lease("dying-worker", 2, time.Minute)
+	dead, ok := s.Lease(context.Background(), "dying-worker", 2, time.Minute, 0)
 	if !ok || len(dead.Points) != 2 {
 		t.Fatalf("lease: ok=%v points=%d", ok, len(dead.Points))
 	}
-	if _, ok := s.Lease("w2", 2, time.Minute); ok {
+	if _, ok := s.Lease(context.Background(), "w2", 2, time.Minute, 0); ok {
 		t.Fatal("points double-leased while the first lease is live")
 	}
 
 	// The worker dies; its lease times out.
 	now = now.Add(2 * time.Minute)
-	release, ok := s.Lease("w2", 2, time.Minute)
+	release, ok := s.Lease(context.Background(), "w2", 2, time.Minute, 0)
 	if !ok || len(release.Points) != 2 {
 		t.Fatalf("expired points not re-leased: ok=%v points=%d", ok, len(release.Points))
 	}
@@ -170,7 +172,7 @@ func TestStoreRenew(t *testing.T) {
 	if _, _, err := s.Submit("fp", "base", nil, g); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lease("w1", 2, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 2, time.Minute, 0)
 	if !ok {
 		t.Fatal("no lease")
 	}
@@ -179,7 +181,7 @@ func TestStoreRenew(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(45 * time.Second) // 90s after grant: dead without the renewal
-	if _, ok := s.Lease("w2", 2, time.Minute); ok {
+	if _, ok := s.Lease(context.Background(), "w2", 2, time.Minute, 0); ok {
 		t.Fatal("renewed lease expired anyway")
 	}
 	now = now.Add(time.Hour)
@@ -251,7 +253,7 @@ func TestStoreCompleteRejectsSchemaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lease("w1", 2, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 2, time.Minute, 0)
 	if !ok {
 		t.Fatal("no lease")
 	}
@@ -266,7 +268,7 @@ func TestStoreCompleteRejectsSchemaMismatch(t *testing.T) {
 	}
 	// The failed completion released the lease; the points are leasable
 	// again immediately.
-	if _, ok := s.Lease("w2", 2, time.Minute); !ok {
+	if _, ok := s.Lease(context.Background(), "w2", 2, time.Minute, 0); !ok {
 		t.Fatal("points stuck after a rejected completion")
 	}
 	if snap := j.Snapshot(false); snap.Done != 0 {
@@ -286,14 +288,14 @@ func TestStoreCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lease("w1", 1, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 1, time.Minute, 0)
 	if !ok {
 		t.Fatal("no lease")
 	}
 	if err := s.Cancel("fp"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lease("w2", 1, time.Minute); ok {
+	if _, ok := s.Lease(context.Background(), "w2", 1, time.Minute, 0); ok {
 		t.Fatal("cancelled job still leasing")
 	}
 	if runLease(t, s, g, info) != 1 {
@@ -321,7 +323,7 @@ func TestStoreChanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := j.Changed()
-	info, ok := s.Lease("w1", 1, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 1, time.Minute, 0)
 	if !ok {
 		t.Fatal("no lease")
 	}
@@ -351,7 +353,7 @@ func TestStorePartialCompletion(t *testing.T) {
 	if _, _, err := s.Submit("fp", "base", nil, g); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lease("w1", 2, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 2, time.Minute, 0)
 	if !ok || len(info.Points) != 2 {
 		t.Fatal("no full lease")
 	}
@@ -360,7 +362,7 @@ func TestStorePartialCompletion(t *testing.T) {
 	if err != nil || applied != 1 {
 		t.Fatalf("partial completion: applied=%d err=%v", applied, err)
 	}
-	re, ok := s.Lease("w2", 2, time.Minute)
+	re, ok := s.Lease(context.Background(), "w2", 2, time.Minute, 0)
 	if !ok || len(re.Points) != 1 {
 		t.Fatalf("unreported point not re-leasable: ok=%v points=%d", ok, len(re.Points))
 	}
@@ -380,7 +382,7 @@ func TestStoreLeaseCarriesSpec(t *testing.T) {
 	if _, _, err := s.Submit("fp", "base", spec, storeGrid()); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lease("w1", 1, time.Minute)
+	info, ok := s.Lease(context.Background(), "w1", 1, time.Minute, 0)
 	if !ok {
 		t.Fatal("no lease")
 	}
@@ -389,5 +391,173 @@ func TestStoreLeaseCarriesSpec(t *testing.T) {
 	}
 	if info.JobName != "job-1" || info.TTLSeconds != 60 {
 		t.Fatalf("lease info = %+v", info)
+	}
+}
+
+// A parked Lease is answered by the Submit that brings work, not at the
+// end of its wait.
+func TestStoreLeaseWaitsForSubmit(t *testing.T) {
+	s, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got := make(chan bool, 1)
+	go func() {
+		_, ok := s.Lease(context.Background(), "w", 1, time.Minute, 10*time.Second)
+		got <- ok
+	}()
+	time.Sleep(50 * time.Millisecond) // let the lease park
+	submitted := time.Now()
+	if _, _, err := s.Submit("fp", "base", nil, storeGrid()); err != nil {
+		t.Fatal(err)
+	}
+	if ok := <-got; !ok {
+		t.Fatal("parked lease got no work")
+	}
+	if d := time.Since(submitted); d > 200*time.Millisecond {
+		t.Fatalf("parked lease answered %v after the submit", d)
+	}
+}
+
+// With no work, a waiting Lease gives up at its wait; a cancelled context
+// ends the wait at once.
+func TestStoreLeaseWaitEnds(t *testing.T) {
+	s, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	if _, ok := s.Lease(context.Background(), "w", 1, time.Minute, 100*time.Millisecond); ok {
+		t.Fatal("lease granted with no work")
+	}
+	if d := time.Since(start); d < 100*time.Millisecond || d > 5*time.Second {
+		t.Fatalf("empty lease returned after %v, want its 100ms wait", d)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan bool, 1)
+	go func() {
+		_, ok := s.Lease(ctx, "w", 1, time.Minute, time.Minute)
+		got <- ok
+	}()
+	time.Sleep(50 * time.Millisecond) // let the lease park
+	cancelled := time.Now()
+	cancel()
+	if ok := <-got; ok {
+		t.Fatal("lease granted with no work")
+	}
+	if d := time.Since(cancelled); d > 200*time.Millisecond {
+		t.Fatalf("cancelled lease returned %v after the cancel", d)
+	}
+}
+
+// One Submit wakes every parked leaser, not one: each gets a point.
+func TestStoreLeaseWakesAllWaiters(t *testing.T) {
+	s, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got := make(chan LeaseInfo, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			info, _ := s.Lease(context.Background(), fmt.Sprintf("w%d", i), 1, time.Minute, 10*time.Second)
+			got <- info
+		}()
+	}
+	time.Sleep(50 * time.Millisecond) // let both leases park
+	submitted := time.Now()
+	if _, _, err := s.Submit("fp", "base", nil, storeGrid()); err != nil { // 2 points
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if info := <-got; len(info.Points) != 1 {
+			t.Fatalf("waiter %d got %d points", i, len(info.Points))
+		}
+	}
+	if d := time.Since(submitted); d > time.Second {
+		t.Fatalf("both waiters answered only %v after the submit", d)
+	}
+}
+
+// A dead worker's points reach a parked leaser when its lease expires,
+// on the real clock, with nobody else touching the store.
+func TestStoreLeaseWakesAtExpiry(t *testing.T) {
+	s, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Submit("fp", "base", nil, storeGrid()); err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 100 * time.Millisecond
+	dead, ok := s.Lease(context.Background(), "doomed", 2, ttl, 0)
+	if !ok || len(dead.Points) != 2 {
+		t.Fatalf("lease: ok=%v points=%d", ok, len(dead.Points))
+	}
+	deadline := time.Now().Add(ttl)
+	re, ok := s.Lease(context.Background(), "healthy", 2, time.Minute, 10*time.Second)
+	if !ok || len(re.Points) != 2 {
+		t.Fatalf("expired points not re-leased: ok=%v points=%d", ok, len(re.Points))
+	}
+	if late := time.Since(deadline); late > time.Second {
+		t.Fatalf("re-leased %v after the dead lease's deadline", late)
+	}
+	if st := s.Stats(); st.LeasesExpired != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Each record has one home, shared by the job and the checkpoint, kept at
+// its exact length; what callers get back are copies.
+func TestStoreRecordsAreCopies(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := storeGrid()
+	j, _, err := s.Submit("fp", "base", nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, ok := s.Lease(context.Background(), "w", 2, time.Minute, 0)
+	if !ok {
+		t.Fatal("no lease")
+	}
+	recs := make([]Record, len(info.Points))
+	for i, pt := range info.Points {
+		recs[i] = RecordOf("", g.RunPoint(pt))
+		// Spare capacity, as a JSON decoder leaves it.
+		recs[i].Injections = append(make([]float64, 0, 4*len(recs[i].Injections)), recs[i].Injections...)
+	}
+	if _, err := s.Complete(info.JobID, info.LeaseID, recs); err != nil {
+		t.Fatal(err)
+	}
+	ck := s.ckpts["base"]
+	for i, pt := range j.pts {
+		held := ck.held("", pt)
+		if held == nil || held != j.recs[i] {
+			t.Fatalf("point %d: the job and the checkpoint keep separate records", i)
+		}
+		if cap(held.Injections) >= cap(recs[i].Injections) {
+			t.Fatalf("point %d: stored injections keep capacity %d for %d values", i, cap(held.Injections), len(held.Injections))
+		}
+	}
+
+	want, _ := j.Records()
+	wantCk, _ := ck.Lookup("", j.pts[0])
+	got, _ := j.Records()
+	got[0].Throughput, got[0].Injections[0] = -1, -1
+	lk, _ := ck.Lookup("", j.pts[0])
+	lk.Throughput, lk.Injections[0] = -1, -1
+	if got, _ := j.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatal("mutating returned records changed the job's records")
+	}
+	if got, _ := ck.Lookup("", j.pts[0]); !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(got, want[0]) {
+		t.Fatal("mutating returned records changed the checkpoint's record")
 	}
 }
