@@ -116,8 +116,10 @@ type evRing struct{ off, qcap, head, qlen int32 }
 //
 // Concurrency contract (mirrors Router): StepRouter touches only state
 // of the stepped router's index range, so disjoint routers may be stepped
-// concurrently; everything else (PushDue, SetSink, WriteBack, phase
-// flips) must happen between cycles. Every router must have an event sink
+// concurrently. PushDue and EarliestExternal likewise touch only router
+// r's rings and cached horizon, so they may run concurrently for disjoint
+// r, but never alongside StepRouter. Everything else (SetSink, WriteBack,
+// phase flips) must happen between cycles. Every router must have an event sink
 // installed (SetSink/SetAllSinks) before it is stepped: link events leave
 // the core only through it.
 type Core struct {
@@ -665,7 +667,8 @@ func exportDue(dst, src *dueQueue) {
 // LinkEvent for every future link arrival the router schedules (packets
 // sent to a neighbour, credits returned upstream), during StepRouter and
 // always with a strictly future cycle. The engine must route each event
-// to its destination with PushDue between cycles.
+// to its destination with PushDue after the cycle's steps and before the
+// next cycle's.
 func (c *Core) SetSink(r int, fn func(LinkEvent)) { c.notify[r] = fn }
 
 // SetAllSinks installs (or clears, with nil) every router's event sink.

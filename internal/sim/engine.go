@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"dragonfly/internal/router"
@@ -16,7 +17,8 @@ const watchdogInterval = 1024
 
 // Run executes one simulation and returns its measurements. Results are
 // bit-identical for any Workers value (the parallel engine only exchanges
-// state through link events routed between cycles).
+// state through link events, routed in a phase of their own after every
+// router of the cycle has stepped).
 func Run(cfg Config) (*Result, error) {
 	return RunWithPattern(cfg, nil)
 }
@@ -43,7 +45,7 @@ func RunWithAppPattern(cfg Config, first, groups int) (*Result, error) {
 	return RunWithPattern(cfg, traffic.NewAppUniform(topo, first, groups))
 }
 
-// clampWorkers resolves cfg.Workers against the network and machine size.
+// clampWorkers resolves cfg.Workers against the network size and GOMAXPROCS.
 func clampWorkers(net *Network, cfg *Config) int {
 	workers := cfg.Workers
 	if workers == 0 {
@@ -52,8 +54,11 @@ func clampWorkers(net *Network, cfg *Config) int {
 	if workers > len(net.Routers) {
 		workers = len(net.Routers)
 	}
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
+	// GOMAXPROCS, not NumCPU: workers beyond the Ps the runtime may use
+	// (go test -cpu 1, a CPU quota) only add handoffs, and a spinning
+	// barrier party would hold a P another party needs.
+	if procs := runtime.GOMAXPROCS(0); workers > procs {
+		workers = procs
 	}
 	return workers
 }
@@ -292,13 +297,29 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 	return lastSeen, nil
 }
 
-// runParallel steps disjoint router shards on persistent workers with a
-// barrier per phase, each worker visiting only the active routers of its
-// shard. Cross-router state only flows through link events buffered per
-// shard and routed by the coordinator between barriers, always at least
-// one cycle ahead, and all scheduler mutation (wake draining, sleeps,
-// calendar pops) happens there too, so the result is identical to the
-// sequential engine.
+// runParallel steps disjoint router shards with a barrier per phase, each
+// worker visiting only the active routers of its shard. The coordinator is
+// worker 0: it steps shard 0 itself and runs the serial work between
+// cycles while the other workers wait at the barrier. Each cycle has up to
+// three parallel phases:
+//
+//  1. PB refresh (PiggyBack mechanisms only): every worker refreshes the
+//     dirty groups of its group shard.
+//  2. Step: every worker generates for and steps its active routers; the
+//     link events they emit go to the worker's own sender buffer.
+//  3. Route: every worker takes its routers' sleep decisions, then reads
+//     every sender buffer and routes the events whose receiver is in its
+//     shard into the receiver's rings (Core.PushDue).
+//
+// All scheduler mutation (wake draining, sleeps, calendar pushes) stays on
+// the coordinator, between cycles. Routing is race-free because every ring,
+// pending mask and cached external horizon belongs to one receiving router,
+// written only by the worker whose shard holds it. Results stay identical
+// to the sequential engine for any partition: each ring has one sender,
+// whose events sit in one buffer in emission order, so every ring receives
+// the same event sequence whichever worker routes it; and the sleep
+// decisions are taken before any of the cycle's events are routed, as
+// they are when routing is serial.
 //
 // Shards are re-partitioned by recent router activity every
 // rebalanceInterval cycles (see partition.go): under adversarial patterns
@@ -327,12 +348,13 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 	for w := range lists {
 		lists[w] = make([]int, 0, shards[w].hi-shards[w].lo)
 	}
-	// Workers may not touch the shared calendar or another shard's
-	// routers, so each router's event sink appends to its shard's buffer
-	// and the per-router internal event horizon goes into wakeAt; the
-	// coordinator routes and drains both between barriers. Sinks follow
-	// the shard map: assignSinks reruns after every re-partition, between
-	// cycles, so each buffer keeps a single writer per phase.
+	// Workers may not touch the shared calendar, so each router's event
+	// sink appends to its shard's buffer, and each stepped router's next
+	// wake-up goes into wakeAt (StepRouter's internal horizon after the
+	// step phase, the sleep decision after the route phase); the
+	// coordinator applies both between cycles. Sinks follow the shard map:
+	// assignSinks reruns after every re-partition, between cycles, so each
+	// buffer keeps a single writer per phase.
 	wbuf := make([][]router.LinkEvent, workers)
 	wakeAt := make([]int64, n)
 	sinkFns := make([]func(router.LinkEvent), workers)
@@ -358,7 +380,7 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 
 	// Scheduler-aware PiggyBack refresh (see runSequential): the
 	// coordinator marks the groups of stepped routers dirty between
-	// barriers; each worker refreshes — and clears — only the dirty groups
+	// cycles; each worker refreshes — and clears — only the dirty groups
 	// of its own group shard, so every flag keeps a single writer per phase.
 	var pbDirty []bool
 	if net.pb != nil {
@@ -368,41 +390,62 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 		}
 	}
 
-	// Each worker has a dedicated start channel so a fast worker can never
-	// steal another worker's phase signal; done is the converging barrier.
-	starts := make([]chan int64, workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		starts[w] = make(chan int64)
+	// now is written by the coordinator between cycles and read by the
+	// workers after the cycle-start barrier.
+	var now int64
+	bar := newBarrier(workers)
+	// phases runs worker w's part of one cycle, from the cycle-start
+	// barrier to the end of the route phase; false once the barrier is
+	// closed.
+	phases := func(w int) bool {
+		if !bar.wait(w) {
+			return false
+		}
+		if net.pb != nil { // PB refresh
+			for g := gShards[w].lo; g < gShards[w].hi; g++ {
+				if pbDirty[g] {
+					net.pb.updateGroup(g)
+					pbDirty[g] = false
+				}
+			}
+			if !bar.wait(w) {
+				return false
+			}
+		}
+		for _, r := range lists[w] { // step
+			net.generate(r, now)
+			wakeAt[r] = core.StepRouter(r, now)
+		}
+		if !bar.wait(w) {
+			return false
+		}
+		// Route: sleep decisions first, against rings that hold none of
+		// this cycle's events yet.
+		for _, r := range lists[w] {
+			wakeAt[r] = nextWake(net, r, now, wakeAt[r])
+		}
+		lo, hi := shards[w].lo, shards[w].hi
+		for _, buf := range wbuf {
+			for _, e := range buf {
+				if e.Router >= lo && e.Router < hi {
+					core.PushDue(e.Router, e)
+				}
+			}
+		}
+		return bar.wait(w)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
 		go func(w int) {
-			for now := range starts[w] {
-				if net.pb != nil {
-					// Phase 1: refresh the dirty PB groups of this
-					// worker's shard.
-					for g := gShards[w].lo; g < gShards[w].hi; g++ {
-						if pbDirty[g] {
-							net.pb.updateGroup(g)
-							pbDirty[g] = false
-						}
-					}
-					done <- struct{}{}
-					// Phase 2 signal from the coordinator.
-					if _, ok := <-starts[w]; !ok {
-						return
-					}
-				}
-				for _, r := range lists[w] {
-					net.generate(r, now)
-					wakeAt[r] = core.StepRouter(r, now)
-				}
-				done <- struct{}{}
+			defer wg.Done()
+			for phases(w) {
 			}
 		}(w)
 	}
 	defer func() {
-		for _, ch := range starts {
-			close(ch)
-		}
+		bar.close()
+		wg.Wait()
 	}()
 
 	fin, _ := ctrl.(Finisher)
@@ -411,11 +454,12 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 	var lastSeen int64
 	measure := total - warmup
 	batch := -1
-	for now := int64(0); now < total; now++ {
-		// Workers are quiescent between cycles, so the coordinator may
-		// touch router and scheduler state here — including the
-		// reconfiguration controller, which must run before this cycle's
-		// active lists are built so force-woken routers are stepped.
+	for now = 0; now < total; now++ {
+		// Workers are parked at the cycle-start barrier, so the
+		// coordinator may touch router and scheduler state here —
+		// including the reconfiguration controller, which must run before
+		// this cycle's active lists are built so force-woken routers are
+		// stepped.
 		reconf.step(now, func(r int) { sched.active[r] = true })
 		probes.step(now)
 		if now > 0 && now%rebalanceInterval == 0 {
@@ -446,25 +490,15 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 			}
 			lists[next] = append(lists[next], r)
 		}
-		phases := 1
-		if net.pb != nil {
-			phases = 2
-		}
-		for ph := 0; ph < phases; ph++ {
-			for w := 0; w < workers; w++ {
-				starts[w] <- now
-			}
-			for w := 0; w < workers; w++ {
-				<-done
-			}
-		}
-		// Sleep decisions first, then event routing: a sleep that missed
-		// an event created this same cycle is corrected by notify, and a
-		// router woken before its events' arrival re-settles against the
-		// by-then routed rings.
+		phases(0)
+		// The rings are fully routed; apply the sleep decisions, then let
+		// this cycle's events advance the wake-ups of routers already
+		// asleep, in ascending sender order as the sequential engine does.
 		for w := 0; w < workers; w++ {
 			for _, r := range lists[w] {
-				sched.settle(net, r, now, wakeAt[r])
+				if wake := wakeAt[r]; wake != now+1 {
+					sched.sleep(r, wake)
+				}
 				weight[r]++
 				if pbDirty != nil {
 					pbDirty[net.groupOf[r]] = true
@@ -474,7 +508,6 @@ func runParallel(net *Network, warmup, total int64, workers int, ctrl Controller
 		}
 		for w := 0; w < workers; w++ {
 			for _, e := range wbuf[w] {
-				core.PushDue(e.Router, e)
 				sched.notify(e.Router, e.At)
 			}
 			wbuf[w] = wbuf[w][:0]

@@ -145,18 +145,24 @@ func (s *scheduler) rebuild() {
 // calendar has already been refreshed. Routers with work next cycle stay
 // active; everything else sleeps until its earliest pending event.
 func (s *scheduler) settle(net *Network, r int, now, nev int64) {
+	if wake := nextWake(net, r, now, nev); wake != now+1 {
+		s.sleep(r, wake)
+	}
+}
+
+// nextWake is settle's decision: the cycle router r next has work at
+// (now+1: stay active; -1: none pending). It reads and caches only r's
+// own state, so the parallel engine takes it on the worker owning r.
+func nextWake(net *Network, r int, now, nev int64) int64 {
 	wake := nev
 	if g := net.genWake[r]; g >= 0 && (wake < 0 || g < wake) {
 		wake = g
 	}
 	if wake == now+1 {
-		return // work due next cycle: stay active
+		return wake
 	}
 	if ext := net.core.EarliestExternal(r); ext >= 0 && (wake < 0 || ext < wake) {
 		wake = ext
-		if wake == now+1 {
-			return
-		}
 	}
-	s.sleep(r, wake)
+	return wake
 }
